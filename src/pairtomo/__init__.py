@@ -15,10 +15,8 @@ from .qstate import (FEATURE_NAMES, FEATURE_TRIPLETS, ParamVector, PureQubit,
                      random_param_array)
 from .recon import (Decomposition, DegenerateInputError, IllConditionedError,
                     IllConditionedWarning, NonPhysicalMomentsError, TripletKet,
-                    decompose_moments, jacobi_eigh3, states_from_xi,
-                    xi_from_triplet)
-from .povm import (EmptyDataError, SIC, TETRA, get_povm, povm_for_arity,
-                   sic_linear_inversion, tetra_linear_inversion)
+                    decompose_moments, states_from_xi, xi_from_triplet)
+from .povm import EmptyDataError, SIC, TETRA, get_povm, povm_for_arity
 from .estimate import (DiagnosticsReport, MlEstimate, OptimizerConfig,
                        li_diagnostics, li_pipeline, log_likelihood,
                        match_and_score, ml_estimate)
@@ -36,9 +34,8 @@ __all__ = [
     "random_param_array",
     "Decomposition", "DegenerateInputError", "IllConditionedError",
     "IllConditionedWarning", "NonPhysicalMomentsError", "TripletKet",
-    "decompose_moments", "jacobi_eigh3", "states_from_xi", "xi_from_triplet",
+    "decompose_moments", "states_from_xi", "xi_from_triplet",
     "EmptyDataError", "SIC", "TETRA", "get_povm", "povm_for_arity",
-    "sic_linear_inversion", "tetra_linear_inversion",
     "DiagnosticsReport", "MlEstimate", "OptimizerConfig", "li_diagnostics",
     "li_pipeline", "log_likelihood", "match_and_score", "ml_estimate",
     "AsymptoticsReport", "DegenerateSampleError", "PlausibilityReport",

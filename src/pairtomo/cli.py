@@ -34,7 +34,7 @@ from .plausible import asymptotics, plausibility
 from .povm import get_povm
 from .qstate import (ParamVector, PureQubit, ensemble_state, moment_features,
                      random_param_array, to_triplet_matrix)
-from .recon import decompose_moments, jacobi_eigh3
+from .recon import decompose_moments, eigh3
 from .sim import (GENERATOR_ID, STREAM_OPTIMIZER, STREAM_PRIOR, run_experiment,
                   sample_counts, seed_sequence)
 
@@ -496,13 +496,10 @@ def cmd_estimate(args):
             dec = li_pipeline(counts, povm, name.split("-", 1)[1])
             entry = _decomposition_dict(name, dec)
         report["estimates"].append(entry)
-    if povm.name == "tetra":
-        state = povm.linear_inversion(counts)
-        report["singlet_weight"] = float(state.singlet_weight)
-        m3 = to_triplet_matrix(state)
-    else:
-        m3 = povm.linear_inversion(counts)
-    spectrum, _ = jacobi_eigh3(np.asarray(m3, dtype=complex))
+    raw = povm.linear_inversion(counts)
+    if povm.name == "tetra":  # the SIC frame never sees the singlet sector
+        report["singlet_weight"] = float(raw.singlet_weight)
+    spectrum, _ = eigh3(to_triplet_matrix(raw))
     report["triplet_spectrum"] = [float(w) for w in spectrum]
     _emit(render_report(report, args.format or "json"), args.out,
           f"estimate.{args.format or 'json'}", _log(args))

@@ -3,10 +3,10 @@
 Two estimator families operate on a vector of detection counts:
 
 * linear inversion (`li_pipeline`): counts -> relative frequencies ->
-  exact reconstruction formula, then one of the two analytic recovery
-  routes from `recon`.  Unbiased but the intermediate matrix need not be
-  physical; for tetrahedron data the singlet admixture is projected out
-  and the triplet part renormalized before recovery.
+  the measurement's dual matrix, then one of the two analytic recovery
+  routes from `recon`.  Unbiased but the intermediate state need not be
+  physical; its singlet admixture (nonzero only for tetrahedron data) is
+  projected out and the triplet part renormalized before recovery.
 
 * maximum likelihood (`ml_estimate`): minimize -log(L)/N over the
   five-parameter box (theta0, phi0, theta1, phi1, alpha) in
@@ -28,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .povm import get_povm
-from .qstate import (HALF_PI, TWO_PI, ParamVector, SymmetricTwoQubitState,
-                     from_triplet_matrix, moment_features, random_param_array,
-                     to_triplet_matrix)
+from .qstate import (HALF_PI, ParamVector, SymmetricTwoQubitState,
+                     moment_features, random_param_array, to_triplet_matrix,
+                     wrap_phase)
 from .recon import (Decomposition, IllConditionedError, decompose_moments,
-                    jacobi_eigh3, probabilities_given_states, states_from_xi,
+                    eigh3, probabilities_given_states, states_from_xi,
                     xi_from_triplet)
 
 _FOLD_REFLECT = (0, 2, 4)
@@ -52,24 +52,14 @@ def fold_params(x):
         t = np.mod(x[..., j], math.pi)
         out[..., j] = np.where(t > HALF_PI, math.pi - t, t)
     for j in _FOLD_WRAP:
-        out[..., j] = np.mod(x[..., j], TWO_PI)
+        out[..., j] = wrap_phase(x[..., j])
     return out
-
-
-def _count_vector(counts, povm):
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (povm.n_outcomes,):
-        raise ValueError(f"counts shape {counts.shape} does not match "
-                         f"{povm.name} ({povm.n_outcomes} outcomes)")
-    if np.any(counts < 0) or not np.all(np.isfinite(counts)):
-        raise ValueError("counts must be finite and non-negative")
-    return counts
 
 
 def log_likelihood(params, counts, povm):
     """Sum_j n_j log q_j(params); -inf if any observed outcome has q_j = 0."""
     povm = get_povm(povm)
-    counts = _count_vector(counts, povm)
+    counts = povm.validate_counts(counts)
     if isinstance(params, ParamVector):
         arr = params.to_array()
     else:
@@ -213,9 +203,7 @@ def ml_estimate(counts, povm, opt=None):
     povm = get_povm(povm)
     if opt is None:
         opt = OptimizerConfig()
-    counts = _count_vector(counts, povm)
-    if counts.sum() < 1:
-        raise ValueError("maximum likelihood needs at least one count")
+    counts = povm.validate_counts(counts)
     objective = _batch_objective(counts, povm)
     seed = opt.seed
     if isinstance(seed, np.random.Generator):
@@ -288,23 +276,15 @@ def li_pipeline(counts, povm, method="xi"):
     floor of linear inversion.
     """
     povm = get_povm(povm)
-    counts = _count_vector(counts, povm)
-    n_total = counts.sum()
-    if n_total < 1:
-        raise ValueError("linear inversion needs at least one count")
     if method not in ("xi", "moments"):
         raise ValueError(f"unknown method {method!r}; expected 'xi' or 'moments'")
-    tol = max(1e-8, 4.0 / math.sqrt(n_total))
-    if povm.name == "sic":
-        m3 = povm.linear_inversion(counts)
-        state = from_triplet_matrix(m3)
-    else:
-        raw = povm.linear_inversion(counts)
-        state = remove_singlet(raw, povm.singlet_weight(counts))
-        m3 = to_triplet_matrix(state)
+    counts = povm.validate_counts(counts)
+    tol = max(1e-8, 4.0 / math.sqrt(counts.sum()))
+    raw = povm.linear_inversion(counts)
+    state = remove_singlet(raw, raw.singlet_weight)
     if method == "moments":
         return decompose_moments(state, tol)
-    return _xi_decomposition(m3)
+    return _xi_decomposition(to_triplet_matrix(state))
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +339,7 @@ def li_diagnostics(est, truth):
     delta = est - truth
     hs_sq = float(np.sum(np.abs(delta) ** 2).real)
     eps = math.sqrt(hs_sq)
-    w, v = jacobi_eigh3(est)
+    w, v = eigh3(est)
     r0, r1, _ = w
     if r1 <= 0.0:
         bound = 0.0

@@ -31,15 +31,19 @@ Two informationally complete measurements on the pair are implemented.
 
   The singlet weight of the inversion is (-2 sum n^s + sum n^c)/N.
 
-All element sets and the feature-to-probability matrices are precomputed
-at import time and frozen.
+Both measurements are written as one pair of linear maps on the moment
+features of qstate: a K x 10 forward matrix to outcome probabilities and
+a 10 x K dual matrix from relative frequencies back to features, which is
+linear inversion.  Matrices and element sets are built at import time
+and frozen.
 """
 
 import math
 
 import numpy as np
 
-from .qstate import FEATURE_TRIPLETS, PAULIS, SymmetricTwoQubitState
+from .qstate import (FEATURE_TRIPLETS, PAULIS, SymmetricTwoQubitState,
+                     from_triplet_matrix)
 
 
 class EmptyDataError(ValueError):
@@ -52,28 +56,55 @@ def _frozen(a):
     return a
 
 
-def _hermitian_triplet(m):
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (3, 3):
-        raise ValueError("triplet matrix must be 3x3")
-    if np.max(np.abs(m - m.conj().T)) > 1e-12:
-        raise ValueError("triplet matrix must be Hermitian")
-    return m
+class LinearPovm:
+    """A measurement on the pair as a pair of linear maps on moment features.
+
+    moment_matrix (K x 10) sends moment features to outcome probabilities;
+    dual_matrix (10 x K) sends relative frequencies back to moment
+    features.  Subclasses build both matrices and the 4x4 elements.
+    """
+
+    name = ""
+    n_outcomes = 0
+
+    def __init__(self, outcome_names, moment_matrix, dual_matrix):
+        self.outcome_names = tuple(outcome_names)
+        self.moment_matrix = _frozen(moment_matrix)
+        self.dual_matrix = _frozen(dual_matrix)
+
+    def validate_counts(self, counts):
+        """Counts as a float vector; rejects bad shapes, signs and empty data."""
+        counts = np.asarray(counts, dtype=float)
+        if counts.shape != (self.n_outcomes,):
+            raise ValueError(f"counts shape {counts.shape} does not match "
+                             f"{self.name} ({self.n_outcomes} outcomes)")
+        if np.any(counts < 0) or not np.all(np.isfinite(counts)):
+            raise ValueError("counts must be finite and non-negative")
+        if counts.sum() <= 0.0:
+            raise EmptyDataError("counts sum to zero")
+        return counts
+
+    def probabilities_from_features(self, features):
+        """(..., 10) moment features -> (..., K) outcome probabilities."""
+        return np.asarray(features) @ self.moment_matrix.T
+
+    def probabilities(self, state):
+        """Outcome probabilities of a SymmetricTwoQubitState."""
+        return self.probabilities_from_features(state.features())
+
+    def linear_inversion(self, counts):
+        """Moments (s, C) from relative frequencies through the dual matrix.
+
+        For finite counts the result may be non-positive and, for the
+        tetrahedron scheme, carry a nonzero singlet weight; see
+        SymmetricTwoQubitState.is_physical.
+        """
+        counts = self.validate_counts(counts)
+        return SymmetricTwoQubitState.from_features(
+            self.dual_matrix @ (counts / counts.sum()))
 
 
-def _counts_vector(counts, arity):
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (arity,):
-        raise ValueError(f"expected {arity} outcome counts, got shape {counts.shape}")
-    if np.any(counts < 0) or not np.all(np.isfinite(counts)):
-        raise ValueError("counts must be finite and non-negative")
-    total = float(counts.sum())
-    if total <= 0.0:
-        raise EmptyDataError("counts sum to zero")
-    return counts, total
-
-
-class SicPovm:
+class SicPovm(LinearPovm):
     """The nine-outcome triplet-sector SIC measurement."""
 
     name = "sic"
@@ -87,28 +118,13 @@ class SicPovm:
             [-1, 1, 0, -w, 1, 0, -1, w, 0],
         ], dtype=complex) / math.sqrt(2.0)
         elements = np.einsum("aj,bj->jab", kets, kets.conj()) / 3.0
-        recon = 12.0 * elements - np.eye(3)
         # q_j as a linear map on moment features, via the triplet block
         moment = np.real(np.einsum("jab,iba->ji", elements, FEATURE_TRIPLETS))
-        self.kets = _frozen(kets)
+        # frame inversion rho = sum_j q_j (12 Pi_j - I), in feature form
+        dual = np.array([from_triplet_matrix(12.0 * e - np.eye(3)).features()
+                         for e in elements]).T
         self.elements = _frozen(elements)
-        self.recon_elements = _frozen(recon)
-        self.moment_matrix = _frozen(moment)
-        self.outcome_names = tuple(f"v{j}" for j in range(1, 10))
-
-    def probabilities_from_features(self, features):
-        """(..., 10) moment features -> (..., 9) outcome probabilities."""
-        return np.asarray(features) @ self.moment_matrix.T
-
-    def probabilities(self, m):
-        """Outcome probabilities for a triplet 3x3 matrix."""
-        m = _hermitian_triplet(m)
-        return np.real(np.einsum("jab,ba->j", self.elements, m))
-
-    def linear_inversion(self, counts):
-        """Frame inversion rho_LI = sum_j (n_j/N)(12 Pi_j - I); may be non-positive."""
-        counts, total = _counts_vector(counts, 9)
-        return np.einsum("j,jab->ab", counts / total, self.recon_elements)
+        super().__init__((f"v{j}" for j in range(1, 10)), moment, dual)
 
     def elements4(self):
         """4x4 embeddings of the elements (diagnostics and self tests)."""
@@ -120,7 +136,7 @@ class SicPovm:
         return emb
 
 
-class TetraPovm:
+class TetraPovm(LinearPovm):
     """Local tetrahedron measurements with same-exit/coincidence grouping."""
 
     name = "tetra"
@@ -130,63 +146,22 @@ class TetraPovm:
         t = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
                      dtype=float) / math.sqrt(3.0)
         pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-        moment = np.zeros((10, 10))
-        for k in range(4):
-            row = moment[k]
-            row[0] = 1.0 / 16.0
-            row[1:4] = 2.0 * t[k] / 16.0
-            self._add_dyad(row, np.outer(t[k], t[k]), 1.0 / 16.0)
-        for i, (j, k) in enumerate(pairs):
-            row = moment[4 + i]
-            row[0] = 1.0 / 8.0
-            row[1:4] = (t[j] + t[k]) / 8.0
-            dyad = 0.5 * (np.outer(t[j], t[k]) + np.outer(t[k], t[j]))
-            self._add_dyad(row, dyad, 1.0 / 8.0)
+        # each outcome as a moment pair (u, d): same-exit k has (t_k, t_k t_k^T),
+        # coincidence jk the symmetrized mean of the two orderings
+        outcomes = [(t[k], np.outer(t[k], t[k])) for k in range(4)] + [
+            (0.5 * (t[j] + t[k]), 0.5 * (np.outer(t[j], t[k]) + np.outer(t[k], t[j])))
+            for j, k in pairs]
+        feats = np.array([SymmetricTwoQubitState(u, d).features() for u, d in outcomes])
+        # q = w (1 + 2 u.s + d:C), w = 1/16 or 1/8; d:C counts off-diagonals twice
+        weights = np.array([1.0 / 16.0] * 4 + [1.0 / 8.0] * 6)
+        moment = weights[:, None] * feats * [1, 2, 2, 2, 1, 1, 1, 2, 2, 2]
+        # R_k = (I + 3 t_k.sigma)/2 maps frequencies back as s = 3u, C = 9d
+        dual = (feats * [1, 3, 3, 3, 9, 9, 9, 9, 9, 9]).T
         self.directions = _frozen(t)
         self.pairs = pairs
-        self.moment_matrix = _frozen(moment)
-        self.outcome_names = tuple(f"s{k}" for k in range(1, 5)) + tuple(
-            f"c{j + 1}{k + 1}" for j, k in pairs)
-
-    @staticmethod
-    def _add_dyad(row, dyad, scale):
-        # symmetric dyad contribution in feature order (cxx..cyz)
-        row[4] += scale * dyad[0, 0]
-        row[5] += scale * dyad[1, 1]
-        row[6] += scale * dyad[2, 2]
-        row[7] += scale * 2.0 * dyad[0, 1]
-        row[8] += scale * 2.0 * dyad[0, 2]
-        row[9] += scale * 2.0 * dyad[1, 2]
-
-    def probabilities_from_features(self, features):
-        """(..., 10) moment features -> (..., 10) outcome probabilities."""
-        return np.asarray(features) @ self.moment_matrix.T
-
-    def probabilities(self, state):
-        """Outcome probabilities, same-exit outcomes first."""
-        return self.probabilities_from_features(state.features())
-
-    def linear_inversion(self, counts):
-        """Moments (s, C) from relative frequencies.
-
-        C is symmetrized exactly by construction.  For finite counts the
-        result generally carries a nonzero singlet weight and may be
-        non-positive; see SymmetricTwoQubitState.is_physical.
-        """
-        counts, total = _counts_vector(counts, 10)
-        f = counts / total
-        t = self.directions
-        s = 3.0 * f[:4] @ t
-        c = 9.0 * np.einsum("k,ka,kb->ab", f[:4], t, t)
-        for i, (j, k) in enumerate(self.pairs):
-            s = s + 1.5 * f[4 + i] * (t[j] + t[k])
-            c = c + 4.5 * f[4 + i] * (np.outer(t[j], t[k]) + np.outer(t[k], t[j]))
-        return SymmetricTwoQubitState(s, 0.5 * (c + c.T))
-
-    def singlet_weight(self, counts):
-        """Singlet weight of the linear inversion: (-2 sum n^s + sum n^c)/N."""
-        counts, total = _counts_vector(counts, 10)
-        return float(-2.0 * counts[:4].sum() + counts[4:].sum()) / total
+        super().__init__(
+            tuple(f"s{k}" for k in range(1, 5))
+            + tuple(f"c{j + 1}{k + 1}" for j, k in pairs), moment, dual)
 
     def elements4(self):
         """4x4 POVM elements (diagnostics and self tests)."""
@@ -207,7 +182,7 @@ _POVMS = {"sic": SIC, "tetra": TETRA}
 
 def get_povm(name):
     """Look up a measurement model by name ('sic' or 'tetra')."""
-    if isinstance(name, (SicPovm, TetraPovm)):
+    if isinstance(name, LinearPovm):
         return name
     try:
         return _POVMS[name]
@@ -222,28 +197,3 @@ def povm_for_arity(n):
     if n == 10:
         return TETRA
     raise ValueError(f"no measurement model with {n} outcomes")
-
-
-def sic_probabilities(m):
-    """SIC outcome probabilities of a triplet 3x3 matrix."""
-    return SIC.probabilities(m)
-
-
-def sic_linear_inversion(counts):
-    """Triplet matrix from SIC counts by frame inversion."""
-    return SIC.linear_inversion(counts)
-
-
-def tetra_probabilities(state):
-    """Tetrahedron-pair outcome probabilities of a symmetric two-qubit state."""
-    return TETRA.probabilities(state)
-
-
-def tetra_linear_inversion(counts):
-    """Moments (s, C) from tetrahedron-pair counts."""
-    return TETRA.linear_inversion(counts)
-
-
-def singlet_weight(counts):
-    """Singlet weight of the tetrahedron linear inversion."""
-    return TETRA.singlet_weight(counts)

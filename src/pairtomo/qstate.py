@@ -59,6 +59,16 @@ def _check_angle(name, value, upper):
         raise ValueError(f"{name} = {value!r} outside [0, {upper}]")
 
 
+def wrap_phase(phi):
+    """Reduce angles (scalar or array) modulo 2 pi into [0, 2 pi).
+
+    A plain `phi % (2 pi)` rounds a tiny negative angle up to exactly
+    2 pi; that value is mapped to 0, the same point on the circle.
+    """
+    phi = np.mod(phi, TWO_PI)
+    return np.where(phi >= TWO_PI, 0.0, phi)[()]
+
+
 def canonical_phase(ket):
     """Fix the global phase of a complex vector deterministically.
 
@@ -110,19 +120,23 @@ class PureQubit:
         if r0 <= _POLE_TOL * r1 or r1 <= _POLE_TOL * r0:
             phi = 0.0
         else:
-            phi = (np.angle(a1) - np.angle(a0)) % TWO_PI
+            phi = wrap_phase(np.angle(a1) - np.angle(a0))
         return cls(theta, phi)
 
     @classmethod
     def from_bloch(cls, v):
-        """State with the given unit Bloch vector."""
+        """State along the given Bloch vector (unit length expected).
+
+        theta comes from atan2 rather than acos(z), which loses half the
+        digits near the poles.
+        """
         x, y, z = (float(c) for c in v)
-        z = min(1.0, max(-1.0, z))
-        theta = 0.5 * math.acos(z)
-        if math.hypot(x, y) <= _POLE_TOL:
+        rho = math.hypot(x, y)
+        theta = 0.5 * math.atan2(rho, z)
+        if rho <= _POLE_TOL:
             phi = 0.0
         else:
-            phi = math.atan2(y, x) % TWO_PI
+            phi = wrap_phase(math.atan2(y, x))
         return cls(theta, phi)
 
     @classmethod
@@ -242,6 +256,13 @@ class SymmetricTwoQubitState:
         c.setflags(write=False)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "c", c)
+
+    @classmethod
+    def from_features(cls, features):
+        """Inverse of `features`; the leading constant entry is ignored."""
+        f = np.asarray(features, dtype=float)
+        c = np.array([[f[4], f[7], f[8]], [f[7], f[5], f[9]], [f[8], f[9], f[6]]])
+        return cls(f[1:4], c)
 
     @property
     def singlet_weight(self):

@@ -26,9 +26,10 @@ Two independent routes are provided:
   quadratic (with the numerically stable root pairing), and
   `probabilities_given_states` fits the weights by least squares.
 
-Eigen-decompositions of 3x3 Hermitian matrices use cyclic Jacobi rotations
-run to an off-diagonal norm of 1e-14; at this size the iteration is cheap
-and avoids the accuracy loss of closed-form cubic roots near degeneracies.
+Eigen-decompositions use LAPACK through numpy.linalg.eigh.  `eigh3` adds
+a deterministic phase per eigenvector (canonical_phase), so the null ket
+does not depend on LAPACK's arbitrary phase; the real dyad of the moment
+route needs only a sign, fixed by taking g = s.e >= 0.
 """
 
 import cmath
@@ -60,60 +61,13 @@ class IllConditionedWarning(UserWarning):
 # --------------------------------------------------------------------------
 # 3x3 Hermitian eigensolver
 
-def jacobi_eigh3(a, tol=1e-14, max_sweeps=50):
-    """Eigen-decomposition of a 3x3 Hermitian matrix by cyclic Jacobi.
+def eigh3(a):
+    """Eigen-decomposition of a 3x3 Hermitian matrix by LAPACK.
 
     Returns (w, v) with eigenvalues w ascending and unit eigenvectors in the
-    columns of v, each phase-fixed so its largest-magnitude component is
-    real and positive.  Sweeps run until the off-diagonal Frobenius norm
-    drops below tol relative to the matrix norm.  Fully deterministic.
+    columns of v, each phase-fixed by canonical_phase.
     """
-    a = np.array(a, dtype=complex)
-    v = np.eye(3, dtype=complex)
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(3), v
-    for _ in range(max_sweeps):
-        off = math.sqrt(abs(a[0, 1]) ** 2 + abs(a[0, 2]) ** 2 + abs(a[1, 2]) ** 2)
-        if off <= tol * scale:
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[p, q]
-            mag = abs(apq)
-            if mag <= 1e-300:
-                continue
-            phase = apq / mag
-            tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-            if tau >= 0.0:
-                t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-            c = 1.0 / math.sqrt(1.0 + t * t)
-            s = t * c
-            # columns p,q of the rotation: [c, -s e^{-i phi}; s e^{i phi}, c]
-            jp = np.zeros(3, dtype=complex)
-            jq = np.zeros(3, dtype=complex)
-            jp[p] = c
-            jp[q] = -s * phase.conjugate()
-            jq[p] = s * phase
-            jq[q] = c
-            ap = a @ jp
-            aq = a @ jq
-            cols = np.column_stack([ap, aq])
-            rows = np.column_stack([jp, jq]).conj().T @ cols
-            a[:, p] = ap
-            a[:, q] = aq
-            a[p, :] = ap.conj()
-            a[q, :] = aq.conj()
-            a[np.ix_((p, q), (p, q))] = 0.5 * (rows + rows.conj().T)
-            vp = v @ jp
-            vq = v @ jq
-            v[:, p] = vp
-            v[:, q] = vq
-    w = a.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
+    w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
     for k in range(3):
         v[:, k] = canonical_phase(v[:, k])
     return w, v
@@ -193,9 +147,9 @@ def decompose_moments(state, tol=1e-8):
         return Decomposition(psi, psi, 1.0, 0.0, degenerate=True, method="moments")
     if s2 >= 1.0:
         raise DegenerateInputError(f"|s|^2 = {s2} >= 1 leaves no mixture to resolve")
-    w, v = jacobi_eigh3(dyad.astype(complex))
+    w, v = np.linalg.eigh(dyad)
     m_top = float(w[2])
-    e = v[:, 2].real
+    e = v[:, 2]
     g = float(s @ e)
     if g < 0.0:
         g = -g
@@ -240,7 +194,7 @@ def xi_from_triplet(m, degeneracy_tol=1e-9):
     m = np.asarray(m, dtype=complex)
     if m.shape != (3, 3) or np.max(np.abs(m - m.conj().T)) > 1e-12:
         raise ValueError("input must be a 3x3 Hermitian matrix")
-    w, v = jacobi_eigh3(m)
+    w, v = eigh3(m)
     if w[1] - w[0] < degeneracy_tol:
         warnings.warn("smallest triplet eigenvalues nearly degenerate; "
                       "null ket is ill-determined", IllConditionedWarning,

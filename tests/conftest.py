@@ -10,6 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same examples on every run and keep no example
+# database, so a test run stays deterministic
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 SQ2 = math.sqrt(2)
 

@@ -25,9 +25,9 @@ from pairtomo.estimate import (_xi_decomposition, li_diagnostics,
                                match_and_score)
 from pairtomo.plausible import asymptotics
 from pairtomo.povm import get_povm
-from pairtomo.qstate import (moment_features, to_triplet_matrix,
-                             triplet_from_features)
-from pairtomo.recon import decompose_moments, jacobi_eigh3
+from pairtomo.qstate import (from_triplet_matrix, moment_features,
+                             to_triplet_matrix, triplet_from_features)
+from pairtomo.recon import decompose_moments, eigh3
 
 BENCHMARK_A = (math.pi / 6, math.pi / 4, 2 * math.pi / 3, math.pi / 2,
                math.pi / 6)
@@ -113,7 +113,7 @@ def test_measurement_identities():
     for f_row, q_row, qt_row in zip(feats[:50], q[:50], qt[:50]):
         m3 = triplet_from_features(f_row)
         dual = max(dual, float(np.max(np.abs(
-            sic.linear_inversion(q_row * 1e6) - m3))))
+            to_triplet_matrix(sic.linear_inversion(q_row * 1e6)) - m3))))
         st = tetra.linear_inversion(qt_row * 1e6)
         dual = max(dual, float(np.max(np.abs(st.features() - f_row))))
     devs["frame-duality"] = dual
@@ -178,13 +178,13 @@ def test_linear_inversion_statistics():
     sic = get_povm("sic")
     truth = ParamVector.from_any_angles(*BENCHMARK_A)
     m3 = np.asarray(to_triplet_matrix(ensemble_state(truth)), dtype=complex)
-    q = sic.probabilities(m3)
-    xi_true = jacobi_eigh3(m3)[1][:, 0]
+    q = sic.probabilities(from_triplet_matrix(m3))
+    xi_true = eigh3(m3)[1][:, 0]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
     runs, n = 10_000, 1000
 
     def bound_check(counts, tallies):
-        rho = np.asarray(sic.linear_inversion(counts), dtype=complex)
+        rho = to_triplet_matrix(sic.linear_inversion(counts))
         rep = li_diagnostics(rho, m3)
         if rep.eigenvalues[1] > 10.0 * rep.epsilon:
             actual = abs(np.vdot(rep.null_vector, xi_true)) ** 2

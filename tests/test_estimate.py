@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pairtomo import (OptimizerConfig, ParamVector, li_pipeline, ml_estimate,
-                      moment_features)
+from pairtomo import (EmptyDataError, OptimizerConfig, ParamVector, li_pipeline,
+                      ml_estimate, moment_features)
 from pairtomo.estimate import (DiagnosticsReport, MlEstimate, _batch_objective,
                                fidelity, fold_params, li_diagnostics,
                                log_likelihood, match_and_score,
@@ -157,7 +157,7 @@ def test_ml_noiseless_recovers_source(povm_name):
 
 
 def test_ml_requires_counts():
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyDataError):
         ml_estimate(np.zeros(10), "tetra")
 
 
@@ -207,7 +207,7 @@ def test_li_tetra_removes_singlet_admixture():
 
 
 def test_li_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyDataError):
         li_pipeline(np.zeros(9), "sic")
     with pytest.raises(ValueError):
         li_pipeline(np.ones(9), "sic", method="newton")

@@ -5,7 +5,7 @@ import pytest
 
 from pairtomo import (EmptyDataError, ParamVector, SIC, TETRA, ensemble_state,
                       get_povm, moment_features, povm_for_arity)
-from pairtomo.qstate import to_triplet_matrix
+from pairtomo.qstate import from_triplet_matrix, to_triplet_matrix
 
 from conftest import (SINGLET_4, oracle_probs, oracle_sic_elements4,
                       oracle_tetra_elements4)
@@ -54,7 +54,7 @@ def test_probabilities_match_trace_oracle(param_draws):
     for row in param_draws[:40]:
         state = ensemble_state(ParamVector.from_array(row))
         np.testing.assert_allclose(
-            SIC.probabilities(to_triplet_matrix(state)),
+            SIC.probabilities(state),
             oracle_probs(row, "sic"), atol=1e-13)
         np.testing.assert_allclose(
             TETRA.probabilities(state),
@@ -67,8 +67,7 @@ def test_probabilities_from_features_is_same_map(param_draws):
     qt = TETRA.probabilities_from_features(feats)
     for row, q9, q10 in zip(param_draws, qs, qt):
         state = ensemble_state(ParamVector.from_array(row))
-        np.testing.assert_allclose(q9, SIC.probabilities(
-            to_triplet_matrix(state)), atol=1e-14)
+        np.testing.assert_allclose(q9, SIC.probabilities(state), atol=1e-14)
         np.testing.assert_allclose(q10, TETRA.probabilities(state),
                                    atol=1e-14)
     assert np.all(qs > -1e-14) and np.all(qt > -1e-14)
@@ -80,24 +79,25 @@ def test_sic_known_probability_table():
     # the pair |00> hits six of the nine outcomes with probability 1/6
     m = np.diag([1.0, 0.0, 0.0]).astype(complex)
     expect = np.array([0, 1, 1, 0, 1, 1, 0, 1, 1]) / 6.0
-    np.testing.assert_allclose(SIC.probabilities(m), expect, atol=1e-14)
+    np.testing.assert_allclose(SIC.probabilities(from_triplet_matrix(m)),
+                               expect, atol=1e-14)
     # maximally mixed triplet state is uniform
-    np.testing.assert_allclose(SIC.probabilities(np.eye(3) / 3),
+    np.testing.assert_allclose(SIC.probabilities(from_triplet_matrix(np.eye(3) / 3)),
                                np.full(9, 1 / 9), atol=1e-14)
 
 
 def test_sic_linear_inversion_round_trip(param_draws):
     for row in param_draws[:40]:
         m = to_triplet_matrix(ensemble_state(ParamVector.from_array(row)))
-        counts = SIC.probabilities(m) * 3e6
-        np.testing.assert_allclose(SIC.linear_inversion(counts), m,
-                                   atol=1e-12)
+        counts = SIC.probabilities(from_triplet_matrix(m)) * 3e6
+        np.testing.assert_allclose(to_triplet_matrix(SIC.linear_inversion(counts)),
+                                   m, atol=1e-12)
 
 
 def test_sic_linear_inversion_single_outcome_spectrum():
     counts = np.zeros(9)
     counts[0] = 1000
-    w = np.linalg.eigvalsh(SIC.linear_inversion(counts))
+    w = np.linalg.eigvalsh(to_triplet_matrix(SIC.linear_inversion(counts)))
     np.testing.assert_allclose(w, [-1, -1, 3], atol=1e-12)
 
 
@@ -145,12 +145,13 @@ def test_tetra_singlet_weight_from_counts(param_draws):
     # pair-source counts carry no singlet weight; a singlet admixture shows up
     state = ensemble_state(ParamVector.from_array(param_draws[0]))
     q_pair = TETRA.probabilities(state)
-    assert TETRA.singlet_weight(q_pair * 1e6) == pytest.approx(0.0, abs=1e-12)
+    assert TETRA.linear_inversion(q_pair * 1e6).singlet_weight == pytest.approx(
+        0.0, abs=1e-12)
     q_singlet = np.concatenate([np.zeros(4), np.full(6, 1 / 6)])
     for w in (0.1, 0.5):
         mixed = (1 - w) * q_pair + w * q_singlet
-        assert TETRA.singlet_weight(mixed * 1e6) == pytest.approx(w,
-                                                                  abs=1e-12)
+        assert TETRA.linear_inversion(mixed * 1e6).singlet_weight == pytest.approx(
+            w, abs=1e-12)
 
 
 def test_purity_band(rng):

@@ -7,9 +7,9 @@ from pairtomo import (Decomposition, DegenerateInputError, IllConditionedError,
                       IllConditionedWarning, NonPhysicalMomentsError,
                       ParamVector, PureQubit, SymmetricTwoQubitState,
                       TripletKet, decompose_moments, ensemble_state,
-                      jacobi_eigh3, states_from_xi, xi_from_triplet)
+                      states_from_xi, xi_from_triplet)
 from pairtomo.qstate import to_triplet_matrix
-from pairtomo.recon import probabilities_given_states
+from pairtomo.recon import eigh3, probabilities_given_states
 
 from conftest import oracle_triplet
 
@@ -19,19 +19,19 @@ def _random_hermitian(rng):
     return a + a.conj().T
 
 
-def test_jacobi_matches_lapack(rng):
+def test_eigh3_matches_lapack(rng):
     for _ in range(200):
         h = _random_hermitian(rng)
-        w, v = jacobi_eigh3(h)
+        w, v = eigh3(h)
         np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-12)
         np.testing.assert_allclose(h @ v, v @ np.diag(w), atol=1e-12)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(3), atol=1e-13)
-    assert jacobi_eigh3(np.eye(3, dtype=complex))[0] == pytest.approx([1, 1, 1])
+    assert eigh3(np.eye(3, dtype=complex))[0] == pytest.approx([1, 1, 1])
 
 
-def test_jacobi_eigenvalues_sorted_and_phased(rng):
+def test_eigh3_eigenvalues_sorted_and_phased(rng):
     h = _random_hermitian(rng)
-    w, v = jacobi_eigh3(h)
+    w, v = eigh3(h)
     assert w[0] <= w[1] <= w[2]
     for k in range(3):
         pivot = v[np.argmax(np.abs(v[:, k])), k]
