@@ -16,12 +16,23 @@ content ("credibility") are estimated from M prior samples:
 
 The prior draws each Bloch vector isotropically and alpha uniformly on
 [0, pi/2] (p0 = cos^2 alpha).  Evaluation is streamed in fixed-size
-chunks, two passes over the same deterministic chunk streams: pass one
-accumulates the lambda moments that fix the threshold, pass two replays
-the identical samples and accumulates the indicator sums, so no lambda
-sample is ever stored.  Chunks own SeedSequence-derived substreams and
-are reduced in chunk order, which makes reports bitwise reproducible for
-any worker count at fixed (seed, chunk_size).
+chunks and makes one pass over the prior.  Each chunk reports its lambda
+moments, which fix the threshold, and keeps as candidates the lambda
+values above S_k / M, where S_k is the chunk's lambda sum as reported.
+The indicator sums are then taken over the candidates alone, once the
+threshold is known.  This is exact: every lambda is >= 0, a rounded sum
+of non-negative terms is never below any one of them, and division by M
+is monotone, so lambda_pl = fl(sum_k S_k) / M >= S_k / M for every chunk
+and every lambda above lambda_pl is a candidate.  Filtering a chunk's
+candidates by lambda_pl gives the same array, in the same sample order,
+as filtering all of its samples, so the indicator sums are bitwise those
+of a second pass.  The running sum over the chunks seen so far bounds
+lambda_pl from below in the same way, which prunes stored candidates.
+At most CANDIDATE_BUDGET candidates are held; a chunk whose candidates do
+not fit is replayed through the same kernel once lambda_pl is known, so
+memory stays bounded for any M.  Chunks own SeedSequence-derived
+substreams and are reduced in chunk order, which makes reports bitwise
+reproducible for any worker count at fixed (seed, chunk_size).
 
 Division by L(theta_ML) keeps the log ratios near zero for typical
 samples; with N counts the raw log likelihoods sit around -N log K and
@@ -36,6 +47,7 @@ method for the credibility ratio), treating the threshold as fixed.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +63,8 @@ LOG_ZERO = -1e12
 LOG_CAP = 300.0
 
 DEFAULT_CHUNK = 100_000
+# lambda candidates held between the prior pass and the threshold (4 MiB)
+CANDIDATE_BUDGET = 1 << 19
 
 
 class DegenerateSampleError(RuntimeError):
@@ -111,46 +125,56 @@ def sample_prior(m, seed):
 # Chunk workers (module level for process pools)
 
 def _chunk_stats(args):
-    """Per-checkpoint lambda statistics for one prior chunk.
+    """Per-checkpoint lambda sums and threshold candidates of one chunk.
 
-    Pass one (thresholds is None) returns rows
-        (sum lambda, sum lambda^2, count lambda > 0);
-    pass two returns rows
-        (count lambda > threshold, sum lambda above, sum lambda^2 above).
+    Returns (out, cands): out has one row
+        (sum lambda, sum lambda^2, count lambda > 0)
+    per checkpoint, and cands[i] holds the chunk's lambda values above
+    out[i, 0] / m in sample order: a superset of those above lambda_pl.
     """
-    child, b, povm_name, counts_mat, logl_ml, thresholds = args
+    child, b, povm_name, counts_mat, logl_ml, m = args
     povm = get_povm(povm_name)
     rng = np.random.Generator(np.random.Philox(child))
     rows = random_param_array(rng, b)
     qs = moment_features(rows) @ povm.moment_matrix.T
     logq = np.where(qs > 0.0, np.log(np.maximum(qs, 1e-300)), LOG_ZERO)
     out = np.empty((len(counts_mat), 3))
+    cands = []
     for i in range(len(counts_mat)):
         loglam = logq @ counts_mat[i]
         loglam -= logl_ml[i]
         np.minimum(loglam, LOG_CAP, out=loglam)
         lam = np.exp(loglam)
-        if thresholds is None:
-            out[i] = (lam.sum(), float(lam @ lam), np.count_nonzero(lam))
-        else:
-            above = lam[lam > thresholds[i]]
-            out[i] = (above.size, above.sum(), float(above @ above))
-    return out
+        out[i] = (lam.sum(), float(lam @ lam), np.count_nonzero(lam))
+        cands.append(lam[lam > out[i, 0] / m])
+    return out, cands
 
 
-def _reduce_chunks(tasks, workers):
-    """Sum worker outputs in chunk order (fixed reduction order)."""
+def _keep_candidates(results, m):
+    """Sum chunk outputs in chunk order and hold their candidates.
+
+    Returns (total, kept), kept[k] being chunk k's candidates, or None
+    when they did not fit CANDIDATE_BUDGET and the chunk must be replayed.
+    """
     total = None
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_chunk_stats, tasks, chunksize=1)
-            for r in results:
-                total = r if total is None else total + r
-    else:
-        for t in tasks:
-            r = _chunk_stats(t)
-            total = r if total is None else total + r
-    return total
+    kept = []
+    stored = 0
+    for out, cands in results:
+        total = out if total is None else total + out
+        # partial sums of non-negative terms never exceed the final sum
+        floor = total[:, 0] / m
+        cands = [c[c > f] for c, f in zip(cands, floor)]
+        size = sum(c.size for c in cands)
+        if stored + size > CANDIDATE_BUDGET:
+            kept = [None if ks is None else [c[c > f] for c, f in zip(ks, floor)]
+                    for ks in kept]
+            stored = sum(c.size for ks in kept if ks is not None for c in ks)
+        if stored + size > CANDIDATE_BUDGET:
+            cands = None
+        else:
+            stored += size
+        kept.append(cands)
+    return total, kept
 
 
 # --------------------------------------------------------------------------
@@ -218,25 +242,33 @@ def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed, truth=None,
 
     live_counts = counts_mat[live]
     live_logl = logl_ml[live]
-    sampler = PriorSampler(seed, m, chunk_size)
-    children = _chunk_children(seed, sampler.n_chunks)
-    sizes = [min(chunk_size, m - k * chunk_size) for k in range(sampler.n_chunks)]
+    n_chunks = PriorSampler(seed, m, chunk_size).n_chunks
+    children = _chunk_children(seed, n_chunks)
+    tasks = [(children[k], min(chunk_size, m - k * chunk_size), povm.name,
+              live_counts, live_logl, m) for k in range(n_chunks)]
 
-    def tasks(thresholds):
-        return [(children[k], sizes[k], povm.name, live_counts, live_logl,
-                 thresholds) for k in range(sampler.n_chunks)]
+    workers = min(workers, n_chunks)
+    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        run = map if pool is None else pool.map
+        first, kept = _keep_candidates(run(_chunk_stats, tasks), m)
+        sum_lam = first[:, 0]
+        sum_lam_sq = first[:, 1]
+        for j, i in enumerate(live):
+            if first[j, 2] == 0:
+                raise DegenerateSampleError(
+                    f"all {m} likelihood ratios are 0 at N = {int(totals[i])}; "
+                    "increase the sample count or evaluate a smaller N")
+        lambda_pl = sum_lam / m
 
-    first = _reduce_chunks(tasks(None), workers)
-    sum_lam = first[:, 0]
-    sum_lam_sq = first[:, 1]
-    for j, i in enumerate(live):
-        if first[j, 2] == 0:
-            raise DegenerateSampleError(
-                f"all {m} likelihood ratios are 0 at N = {int(totals[i])}; "
-                "increase the sample count or evaluate a smaller N")
-    lambda_pl = sum_lam / m
-
-    second = _reduce_chunks(tasks(lambda_pl), workers)
+        replays = run(_chunk_stats,
+                      [t for t, cands in zip(tasks, kept) if cands is None])
+        second = np.zeros((len(live), 3))
+        for cands in kept:
+            if cands is None:
+                cands = next(replays)[1]
+            for j, c in enumerate(cands):
+                above = c[c > lambda_pl[j]]
+                second[j] += (above.size, above.sum(), float(above @ above))
     n_above = second[:, 0]
     sum_above = second[:, 1]
     sum_sq_above = second[:, 2]

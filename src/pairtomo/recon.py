@@ -43,7 +43,7 @@ from .qstate import PureQubit, canonical_phase, pair_ket_triplet
 
 
 class DegenerateInputError(ValueError):
-    """Moments carry no resolvable two-state structure (e.g. |s| >= 1)."""
+    """Moments carry no resolvable two-state structure (e.g. |s|^2 > 1 + tol)."""
 
 
 class NonPhysicalMomentsError(ValueError):
@@ -56,6 +56,10 @@ class IllConditionedError(ValueError):
 
 class IllConditionedWarning(UserWarning):
     """Result is returned but poorly determined by the input."""
+
+
+# eigenvalue gap below which an eigenvector is treated as ill-determined
+DEGENERACY_TOL = 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -133,20 +137,24 @@ def decompose_moments(state, tol=1e-8):
     tol sets the scale below which the source is treated as degenerate
     (single state); use max(1e-8, 4/sqrt(N)) for moments estimated from N
     counts, matching the statistical noise floor of linear inversion.
-    Noisy inputs whose (p0-p1)^2 lands in (1, 1+tol] are clamped to the
-    boundary and marked; beyond that NonPhysicalMomentsError is raised.
+    The same single-state answer covers |s|^2 in [1, 1+tol]; beyond that
+    DegenerateInputError is raised.  Noisy inputs whose (p0-p1)^2 lands in
+    (1, 1+tol] are clamped to the boundary and marked; beyond that
+    NonPhysicalMomentsError is raised.  A doubly degenerate top dyad
+    eigenvalue (gap below DEGENERACY_TOL) leaves the difference direction
+    arbitrary and issues an IllConditionedWarning.
     """
     s = np.asarray(state.s, dtype=float)
     s2 = float(s @ s)
     dyad = state.c - np.outer(s, s)
-    if np.linalg.norm(dyad) <= tol:
+    if np.linalg.norm(dyad) <= tol or 1.0 <= s2 <= 1.0 + tol:
         norm_s = math.sqrt(s2)
         if norm_s < 1e-12:
             raise DegenerateInputError("moments carry no state direction")
         psi = PureQubit.from_bloch(s / norm_s)
         return Decomposition(psi, psi, 1.0, 0.0, degenerate=True, method="moments")
-    if s2 >= 1.0:
-        raise DegenerateInputError(f"|s|^2 = {s2} >= 1 leaves no mixture to resolve")
+    if s2 > 1.0:
+        raise DegenerateInputError(f"|s|^2 = {s2} exceeds 1 beyond tolerance")
     w, v = np.linalg.eigh(dyad)
     m_top = float(w[2])
     e = v[:, 2]
@@ -175,6 +183,10 @@ def decompose_moments(state, tol=1e-8):
     nb = np.linalg.norm(b)
     if na < 1e-12 or nb < 1e-12:
         raise DegenerateInputError("recovered Bloch vector has no direction")
+    if w[2] - w[1] < DEGENERACY_TOL:
+        warnings.warn("top moment-dyad eigenvalues nearly degenerate; "
+                      "difference direction is ill-determined",
+                      IllConditionedWarning, stacklevel=2)
     return Decomposition.ordered(PureQubit.from_bloch(a / na),
                                  PureQubit.from_bloch(b / nb),
                                  p0, p1, method="moments", clamped=clamped)
@@ -183,7 +195,7 @@ def decompose_moments(state, tol=1e-8):
 # --------------------------------------------------------------------------
 # Null-ket route
 
-def xi_from_triplet(m, degeneracy_tol=1e-9):
+def xi_from_triplet(m, degeneracy_tol=DEGENERACY_TOL):
     """Null ket of a triplet 3x3 matrix: eigenvector of smallest eigenvalue.
 
     Returns (TripletKet, eigenvalue).  If the two smallest eigenvalues agree

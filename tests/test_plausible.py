@@ -6,7 +6,7 @@ from scipy.special import gammaincc
 from scipy.stats import kstest
 
 from pairtomo import (ParamVector, PlausibilityReport, asymptotics,
-                      ensemble_state, is_plausible, plausibility,
+                      ensemble_state, is_plausible, plausible, plausibility,
                       plausibility_sweep, sample_counts, sample_prior)
 from pairtomo.estimate import log_likelihood
 from pairtomo.plausible import (DEFAULT_CHUNK, LOG_CAP, LOG_ZERO,
@@ -133,6 +133,26 @@ def test_worker_count_invariance():
     a = plausibility(counts, "tetra", TRUTH, workers=1, **kw)
     b = plausibility(counts, "tetra", TRUTH, workers=2, **kw)
     assert a == b
+
+
+def test_candidate_budget_overflow_replays_chunks(monkeypatch):
+    # a tiny budget forces pruning and replays on the shared pool; the
+    # reports must not change
+    counts_list = [tetra_counts(30), tetra_counts(300), tetra_counts(3000)]
+    kw = dict(m=6000, seed=4, chunk_size=1000, truth=TRUTH, workers=2)
+    full = plausibility_sweep(counts_list, "tetra", [TRUTH] * 3, **kw)
+    keep = plausible._keep_candidates
+    replayed = []
+
+    def spy(results, m):
+        total, kept = keep(results, m)
+        replayed.append(sum(cands is None for cands in kept))
+        return total, kept
+
+    monkeypatch.setattr(plausible, "CANDIDATE_BUDGET", 300)
+    monkeypatch.setattr(plausible, "_keep_candidates", spy)
+    assert plausibility_sweep(counts_list, "tetra", [TRUTH] * 3, **kw) == full
+    assert 0 < replayed[0] < 6
 
 
 def test_sweep_matches_single_calls():

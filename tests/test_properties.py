@@ -17,8 +17,11 @@ from pairtomo import (DegenerateInputError, EmptyDataError,
                       OptimizerConfig, ParamVector, PureQubit, SIC, TETRA,
                       ensemble_state, li_pipeline, ml_estimate)
 from pairtomo.estimate import fold_params
+from pairtomo.plausible import DegenerateSampleError, plausibility_sweep
 from pairtomo.qstate import HALF_PI, TWO_PI, wrap_phase
 from pairtomo.recon import eigh3
+
+from test_plausible import TRUTH, reference_report
 
 DOCUMENTED_LI_ERRORS = (NonPhysicalMomentsError, DegenerateInputError,
                         IllConditionedError, EmptyDataError)
@@ -38,6 +41,16 @@ def count_tables(draw, min_total=0):
                            max_size=povm.n_outcomes)
                   .filter(lambda c: sum(c) >= min_total))
     return povm, np.array(counts)
+
+
+@st.composite
+def small_tables(draw):
+    """Count tables with 1 <= N <= 2000, spread by stars and bars."""
+    povm = draw(povms)
+    n = draw(st.integers(1, 2000))
+    cuts = draw(st.lists(st.integers(0, n), min_size=povm.n_outcomes - 1,
+                         max_size=povm.n_outcomes - 1))
+    return povm, np.diff([0, *sorted(cuts), n])
 
 
 def _hermitian(entries):
@@ -148,3 +161,24 @@ def test_ml_estimate_returns_parameters(table):
     est = ml_estimate(counts, povm, opt)
     assert isinstance(est.params, ParamVector)
     assert est.n_evaluations <= opt.max_evaluations
+
+
+@settings(max_examples=60)
+@given(small_tables(), st.integers(1, 4000), st.integers(1, 4000),
+       st.integers(0, 2 ** 32))
+@example((TETRA, np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, 0])), 3000, 100, 0)
+@example((SIC, np.array([0, 0, 0, 0, 2000, 0, 0, 0, 0])), 5, 2, 1)
+@example((TETRA, np.array([0, 0, 3, 0, 0, 0, 0, 0, 0, 0])), 1, 1, 0)
+def test_plausibility_sweep_matches_reference(table, m, chunk_size, seed):
+    # small N puts most samples above the chunk cut; large N almost none
+    assume(m <= 64 * chunk_size)
+    povm, counts = table
+    with np.errstate(invalid="ignore"):
+        ref = reference_report(counts, povm.name, TRUTH, m, seed, chunk_size)
+    try:
+        rep, = plausibility_sweep([counts], povm, [TRUTH], m, seed,
+                                  chunk_size=chunk_size, workers=1)
+    except DegenerateSampleError:
+        assert ref[0] == 0.0
+        return
+    assert (rep.lambda_pl, rep.size_pl, rep.credibility_pl) == ref

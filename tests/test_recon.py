@@ -7,7 +7,7 @@ from pairtomo import (Decomposition, DegenerateInputError, IllConditionedError,
                       IllConditionedWarning, NonPhysicalMomentsError,
                       ParamVector, PureQubit, SymmetricTwoQubitState,
                       TripletKet, decompose_moments, ensemble_state,
-                      states_from_xi, xi_from_triplet)
+                      li_pipeline, states_from_xi, xi_from_triplet)
 from pairtomo.qstate import to_triplet_matrix
 from pairtomo.recon import eigh3, probabilities_given_states
 
@@ -98,6 +98,34 @@ def test_decompose_moments_clamps_slight_excess():
     c_bad = np.outer(s, s) + np.diag([-1e-4, -0.3, -0.3])
     with pytest.raises(NonPhysicalMomentsError):
         decompose_moments(SymmetricTwoQubitState(s, c_bad))
+
+
+@pytest.mark.parametrize("scale", [1, 2, 3])
+def test_moments_route_unit_bloch_norm_is_single_state(scale):
+    # |s|^2 = 1 in exact arithmetic, 1 + 2e-15 after rounding: the
+    # outcome must not hinge on the last bit, nor on the count scale
+    counts = np.array([0, 0, 446, 446, 446, 0, 669, 223, 446]) * scale
+    dec = li_pipeline(counts, "sic", "moments")
+    assert dec.degenerate
+    assert (dec.p0, dec.p1) == (1.0, 0.0)
+    assert dec.state0 == dec.state1
+
+
+def test_decompose_moments_rejects_bloch_norm_beyond_tolerance():
+    s = np.array([0.0, 0.0, 1.2])
+    c = np.outer(s, s) + np.diag([0.5, -0.5, 0.0])
+    with pytest.raises(DegenerateInputError):
+        decompose_moments(SymmetricTwoQubitState(s, c), tol=0.1)
+    dec = decompose_moments(SymmetricTwoQubitState(s, c), tol=0.5)
+    assert dec.degenerate
+    np.testing.assert_allclose(dec.state0.bloch, [0.0, 0.0, 1.0], atol=1e-12)
+
+
+def test_moments_route_warns_on_degenerate_top_dyad_eigenvalue():
+    # the top two eigenvalues of the dyad C - s s^T coincide
+    counts = np.array([181, 181, 181, 0, 0, 0, 543, 0, 543, 543])
+    with pytest.warns(IllConditionedWarning):
+        li_pipeline(counts, "tetra", "moments")
 
 
 def test_decomposition_ordering_convention():
