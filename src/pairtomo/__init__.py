@@ -19,7 +19,7 @@ from .recon import (Decomposition, DegenerateInputError, IllConditionedError,
 from .povm import EmptyDataError, SIC, TETRA, get_povm, povm_for_arity
 from .estimate import (DiagnosticsReport, MlEstimate, OptimizerConfig,
                        li_diagnostics, li_pipeline, log_likelihood,
-                       match_and_score, ml_estimate)
+                       match_and_score, ml_estimate, ml_estimates)
 from .plausible import (AsymptoticsReport, DegenerateSampleError,
                         PlausibilityReport, PriorSampler, asymptotics,
                         is_plausible, plausibility, plausibility_sweep,
@@ -38,6 +38,7 @@ __all__ = [
     "EmptyDataError", "SIC", "TETRA", "get_povm", "povm_for_arity",
     "DiagnosticsReport", "MlEstimate", "OptimizerConfig", "li_diagnostics",
     "li_pipeline", "log_likelihood", "match_and_score", "ml_estimate",
+    "ml_estimates",
     "AsymptoticsReport", "DegenerateSampleError", "PlausibilityReport",
     "PriorSampler", "asymptotics", "is_plausible", "plausibility",
     "plausibility_sweep", "sample_prior",

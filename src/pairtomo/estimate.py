@@ -16,6 +16,9 @@ Two estimator families operate on a vector of detection counts:
   with cumulative step-size control); the box is handled by a smooth
   wrap: phi angles are periodic mod 2pi and theta/alpha reflect off the
   box edges, which leaves the objective continuous on all of R^5.
+  `ml_estimates` fits several tables together: the fits advance in
+  lockstep, one generation per tick, and each result equals fitting its
+  table alone with `ml_estimate`, bit for bit.
 
 The likelihood omits the multinomial combinatorial factor throughout; it
 cancels from every ratio and every location of the optimum.
@@ -73,15 +76,21 @@ def log_likelihood(params, counts, povm):
 
 
 def _batch_objective(counts, povm):
-    """-log(L)/N as a vectorized function of (B, 5) parameter rows."""
+    """-log(L)/N as a vectorized function of (B, 5) parameter rows.
+
+    The returned function takes the rows' moment features as a second
+    argument when the caller has already computed them.
+    """
     counts = np.asarray(counts, dtype=float)
     n_total = counts.sum()
     active = counts > 0
     n_active = counts[active]
     w_active = povm.moment_matrix[active]
 
-    def objective(rows):
-        qs = moment_features(rows) @ w_active.T
+    def objective(rows, features=None):
+        if features is None:
+            features = moment_features(rows)
+        qs = features @ w_active.T
         bad = (qs <= 0.0).any(axis=1)
         vals = -(np.log(np.maximum(qs, 1e-300)) @ n_active) / n_total
         vals[bad] = np.inf
@@ -95,7 +104,7 @@ def _batch_objective(counts, povm):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Evolution-strategy settings for ml_estimate."""
+    """Evolution-strategy settings for ml_estimate and ml_estimates."""
 
     population: int = 12
     sigma0: float = 0.3
@@ -125,15 +134,93 @@ class MlEstimate:
     n_evaluations: int
 
 
-def _cma_minimize(objective, x0, sigma0, budget, tol, popsize, rng):
-    """One evolution-strategy run; returns (best_x_folded, best_f, converged, evals).
+def _as_generator(seed):
+    """Philox Generator from an int, SeedSequence or None; a Generator as is."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.Generator(np.random.Philox(
+        seed if isinstance(seed, np.random.SeedSequence)
+        else np.random.SeedSequence(seed)))
 
-    Hyperparameters follow the standard (mu/mu_w, lambda) recipe with
-    rank-one plus rank-mu covariance updates and cumulative step-size
-    adaptation. Convergence is declared when the best objective over a
-    trailing window of generations spans less than tol.
+
+class _Fit:
+    """One fit's sequential state: generator, restarts, budget, best point.
+
+    The stacked strategy state (mean, step size, covariance, paths) lives
+    in `ml_estimates`; this holds what is per fit and scalar.
     """
-    n = len(x0)
+
+    def __init__(self, objective, rng, restarts):
+        self.objective = objective
+        self.rng = rng
+        self.restarts_left = restarts
+        self.best_x = None
+        self.best_f = np.inf
+        self.converged = False
+        self.total_evals = 0
+        # the running restart
+        self.run_x = None
+        self.run_f = np.inf
+        self.evals = 0
+        self.gen = 0
+        self.hist = None
+
+    def start_restart(self, x_folded, f, hist_len):
+        self.restarts_left -= 1
+        self.run_x = x_folded.copy()
+        self.run_f = f
+        self.evals = 1
+        self.gen = 0
+        self.hist = deque(maxlen=hist_len)
+
+    def end_restart(self, converged):
+        self.total_evals += self.evals
+        self.converged = self.converged or converged
+        if self.run_f < self.best_f:
+            self.best_f = self.run_f
+            self.best_x = self.run_x
+
+    def result(self):
+        return MlEstimate(ParamVector.from_array(self.best_x),
+                          float(self.best_f), self.converged, self.total_evals)
+
+
+def ml_estimates(tables, povm, opt=None, seeds=None):
+    """Maximum-likelihood estimates of several count tables, fitted together.
+
+    Result k is bit for bit the `ml_estimate` of tables[k] alone with
+    seed seeds[k] (default: opt.seed for every table).  Each fit keeps
+    its own generator, restart sequence, budget and convergence test; the
+    fits advance in lockstep, one generation per tick, so that the
+    covariance eigendecompositions, `fold_params` and `moment_features`
+    run once per tick on the stacked (K, population, 5) population while
+    the objective still runs per fit on that fit's rows.  Every step is
+    either elementwise or a per-slice LAPACK/BLAS call of the same shape
+    as in a lone fit, and the scalar updates stay per-fit Python floats,
+    which keeps the arithmetic identical.
+
+    One Generator object cannot seed two tables of a batch: its draws
+    would interleave across the fits and no longer match lone fits.
+    """
+    povm = get_povm(povm)
+    if opt is None:
+        opt = OptimizerConfig()
+    tables = [povm.validate_counts(c) for c in tables]
+    seeds = [opt.seed] * len(tables) if seeds is None else list(seeds)
+    if len(seeds) != len(tables):
+        raise ValueError(f"{len(seeds)} seeds for {len(tables)} tables")
+    shared = [id(s) for s in seeds if isinstance(s, np.random.Generator)]
+    if len(set(shared)) < len(shared):
+        raise ValueError("one Generator seeds several tables of a batch; "
+                         "give each table its own seed (e.g. a SeedSequence)")
+    fits = [_Fit(_batch_objective(c, povm), _as_generator(s), opt.restarts)
+            for c, s in zip(tables, seeds)]
+
+    # (mu/mu_w, lambda) strategy with rank-one plus rank-mu covariance
+    # updates and cumulative step-size adaptation (Hansen, arXiv:1604.00772)
+    n = 5
+    popsize = opt.population
+    budget = opt.max_evaluations // opt.restarts
     mu = popsize // 2
     weights = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
     weights = weights / weights.sum()
@@ -144,90 +231,121 @@ def _cma_minimize(objective, x0, sigma0, budget, tol, popsize, rng):
     cmu = min(1.0 - c1, 2.0 * (mueff - 2.0 + 1.0 / mueff) / ((n + 2.0) ** 2 + mueff))
     damps = 1.0 + 2.0 * max(0.0, math.sqrt((mueff - 1.0) / (n + 1.0)) - 1.0) + cs
     chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
+    c_ps = math.sqrt(cs * (2.0 - cs) * mueff)
+    c_pc = math.sqrt(cc * (2.0 - cc) * mueff)
+    hsig_bound = 1.4 + 2.0 / (n + 1.0)
+    hist_len = 10 + math.ceil(30.0 * n / popsize)
 
-    mean = np.array(x0, dtype=float)
-    sigma = float(sigma0)
-    cov = np.eye(n)
-    ps = np.zeros(n)
-    pc = np.zeros(n)
-    best_x = fold_params(mean)
-    best_f = float(objective(best_x[None, :])[0])
-    evals = 1
-    hist = deque(maxlen=10 + math.ceil(30.0 * n / popsize))
-    gen = 0
-    while evals + popsize <= budget:
-        gen += 1
+    # stacked state of the fits running a generation, row k <-> live[k]
+    live = []
+    mean = np.empty((0, n))
+    sigma = np.empty(0)
+    cov = np.empty((0, n, n))
+    ps = np.empty((0, n))
+    pc = np.empty((0, n))
+    pending = list(fits)
+    while pending or live:
+        # start restarts; one whose budget holds no generation ends at once
+        while pending:
+            x0 = np.array([random_param_array(fit.rng, 1)[0] for fit in pending])
+            x0f = fold_params(x0)
+            feats = moment_features(x0f)
+            started, again = [], []
+            for j, fit in enumerate(pending):
+                f0 = fit.objective(x0f[j][None, :], feats[j][None, :])
+                fit.start_restart(x0f[j], float(f0[0]), hist_len)
+                if fit.evals + popsize <= budget:
+                    started.append(j)
+                else:
+                    fit.end_restart(False)
+                    if fit.restarts_left:
+                        again.append(fit)
+            if started:
+                k = len(started)
+                live += [pending[j] for j in started]
+                mean = np.concatenate([mean, x0[started]])
+                sigma = np.concatenate([sigma, np.full(k, float(opt.sigma0))])
+                cov = np.concatenate([cov, np.broadcast_to(np.eye(n), (k, n, n))])
+                ps = np.concatenate([ps, np.zeros((k, n))])
+                pc = np.concatenate([pc, np.zeros((k, n))])
+            pending = again
+        if not live:
+            break
+
+        # one generation of every live fit
         eigvals, basis = np.linalg.eigh(cov)
         eigvals = np.maximum(eigvals, 1e-20)
         d = np.sqrt(eigvals)
-        z = rng.standard_normal((popsize, n))
-        y = z @ (basis * d).T
-        x = mean + sigma * y
+        k_live = len(live)
+        z = np.empty((k_live, popsize, n))
+        for k, fit in enumerate(live):
+            fit.rng.standard_normal(out=z[k])
+        y = z @ (basis * d[:, None, :]).transpose(0, 2, 1)
+        x = mean[:, None, :] + sigma[:, None, None] * y
         xf = fold_params(x)
-        f = objective(xf)
-        evals += popsize
-        order = np.argsort(f, kind="stable")
-        if f[order[0]] < best_f:
-            best_f = float(f[order[0]])
-            best_x = xf[order[0]].copy()
-        y_sel = y[order[:mu]]
+        feats = moment_features(xf)
+        f = np.empty((k_live, popsize))
+        for k, fit in enumerate(live):
+            f[k] = fit.objective(xf[k], feats[k])
+        order = np.argsort(f, axis=1, kind="stable")
+        y_sel = y[np.arange(k_live)[:, None], order[:, :mu]]
         y_w = weights @ y_sel
-        mean = mean + sigma * y_w
-        inv_sqrt = (basis / d) @ basis.T
-        ps = (1.0 - cs) * ps + math.sqrt(cs * (2.0 - cs) * mueff) * (inv_sqrt @ y_w)
-        ps_norm = float(np.linalg.norm(ps))
-        hsig = ps_norm / math.sqrt(1.0 - (1.0 - cs) ** (2.0 * gen)) / chi_n \
-            < 1.4 + 2.0 / (n + 1.0)
-        pc = (1.0 - cc) * pc + hsig * math.sqrt(cc * (2.0 - cc) * mueff) * y_w
-        rank1 = np.outer(pc, pc) + (0.0 if hsig else cc * (2.0 - cc)) * cov
-        rank_mu = y_sel.T @ (weights[:, None] * y_sel)
+        mean = mean + sigma[:, None] * y_w
+        inv_sqrt = (basis / d[:, None, :]) @ basis.transpose(0, 2, 1)
+        ps = (1.0 - cs) * ps + c_ps * (inv_sqrt @ y_w[:, :, None])[:, :, 0]
+        # per fit: the norm (as np.linalg.norm computes it), pow and exp
+        # must not be batched, since their vectorized kernels round
+        # differently
+        ps_norm = [math.sqrt(row.dot(row)) for row in ps]
+        hsig = []
+        for k, fit in enumerate(live):
+            fit.gen += 1
+            fit.evals += popsize
+            best = order[k, 0]
+            if f[k, best] < fit.run_f:
+                fit.run_f = float(f[k, best])
+                fit.run_x = xf[k, best].copy()
+            hsig.append(ps_norm[k] / math.sqrt(1.0 - (1.0 - cs) ** (2.0 * fit.gen))
+                        / chi_n < hsig_bound)
+        pc = (1.0 - cc) * pc + np.array([h * c_pc for h in hsig])[:, None] * y_w
+        rank1 = (pc[:, :, None] * pc[:, None, :]
+                 + np.array([0.0 if h else cc * (2.0 - cc) for h in hsig])[:, None, None]
+                 * cov)
+        rank_mu = y_sel.transpose(0, 2, 1) @ (weights[:, None] * y_sel)
         cov = (1.0 - c1 - cmu) * cov + c1 * rank1 + cmu * rank_mu
-        cov = 0.5 * (cov + cov.T)
-        sigma *= math.exp((cs / damps) * (ps_norm / chi_n - 1.0))
-        hist.append(best_f)
-        if len(hist) == hist.maxlen and max(hist) - min(hist) < tol:
-            return best_x, best_f, True, evals
-        if sigma * math.sqrt(float(eigvals.max())) < 1e-13:
-            return best_x, best_f, True, evals
-    return best_x, best_f, False, evals
+        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+        sigma = sigma * np.array([math.exp((cs / damps) * (v / chi_n - 1.0))
+                                  for v in ps_norm])
+
+        # convergence: the best objective over a trailing window spans less
+        # than tol, or the step size has collapsed
+        keep = np.ones(k_live, dtype=bool)
+        for k, fit in enumerate(live):
+            fit.hist.append(fit.run_f)
+            done = ((len(fit.hist) == hist_len
+                     and max(fit.hist) - min(fit.hist) < opt.tol)
+                    or sigma[k] * math.sqrt(float(eigvals[k].max())) < 1e-13)
+            if done or fit.evals + popsize > budget:
+                fit.end_restart(done)
+                keep[k] = False
+                if fit.restarts_left:
+                    pending.append(fit)
+        if not keep.all():
+            live = [fit for fit, kept in zip(live, keep) if kept]
+            mean, sigma, cov, ps, pc = (a[keep] for a in (mean, sigma, cov, ps, pc))
+    return [fit.result() for fit in fits]
 
 
 def ml_estimate(counts, povm, opt=None):
     """Maximum-likelihood parameter vector from counts.
 
-    Runs opt.restarts independent strategy instances from prior-sampled
+    Runs opt.restarts strategy instances in turn from prior-sampled
     starting points (splitting the evaluation budget evenly) and returns
     the best.  converged is False only if no restart met the objective
-    tolerance before exhausting its share of the budget.
+    tolerance before exhausting its share of the budget.  This is the
+    one-table case of `ml_estimates`.
     """
-    povm = get_povm(povm)
-    if opt is None:
-        opt = OptimizerConfig()
-    counts = povm.validate_counts(counts)
-    objective = _batch_objective(counts, povm)
-    seed = opt.seed
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.Generator(np.random.Philox(
-            seed if isinstance(seed, np.random.SeedSequence)
-            else np.random.SeedSequence(seed)))
-    budget = opt.max_evaluations // opt.restarts
-    best_x = None
-    best_f = np.inf
-    converged = False
-    total_evals = 0
-    for _ in range(opt.restarts):
-        x0 = random_param_array(rng, 1)[0]
-        x, fval, ok, used = _cma_minimize(objective, x0, opt.sigma0, budget,
-                                          opt.tol, opt.population, rng)
-        total_evals += used
-        converged = converged or ok
-        if fval < best_f:
-            best_f = fval
-            best_x = x
-    return MlEstimate(ParamVector.from_array(best_x), float(best_f),
-                      converged, total_evals)
+    return ml_estimates([counts], povm, opt)[0]
 
 
 def ml_decomposition(est):

@@ -13,9 +13,12 @@ GENERATOR_ID for the algorithm tag recorded in run records.
 Counts along an n_schedule are cumulative: each checkpoint extends the
 previous counts with a multinomial increment from the run's stream, so
 checkpoint N is a genuine prefix of the same simulated experiment.
+
+The ML fits of a run's checkpoints advance together in one lockstep call
+once all counts are drawn; checkpoint k's fit uses the optimizer stream
+(run index, k) and equals fitting its table alone, bit for bit.
 """
 
-import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -34,6 +37,9 @@ STREAM_COUNTS = 0
 STREAM_OPTIMIZER = 1
 STREAM_PRIOR = 2
 
+# linear-inversion estimator name -> li_pipeline recovery route
+LI_METHODS = {"li-xi": "xi", "li-moments": "moments"}
+
 
 def seed_sequence(master_seed, *path):
     """SeedSequence for a named stream: path = (stream id, run index, ...)."""
@@ -43,14 +49,6 @@ def seed_sequence(master_seed, *path):
 def stream_generator(master_seed, *path):
     """Philox generator on the given stream."""
     return np.random.Generator(np.random.Philox(seed_sequence(master_seed, *path)))
-
-
-def _as_generator(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def sample_counts(probs, n, seed):
@@ -73,7 +71,7 @@ def sample_counts(probs, n, seed):
     p = p / p.sum()
     if n == 0:
         return np.zeros(probs.size, dtype=np.int64)
-    return _as_generator(seed).multinomial(int(n), p)
+    return _est._as_generator(seed).multinomial(int(n), p)
 
 
 @dataclass
@@ -119,53 +117,59 @@ def _score(truth, dec):
 
 
 def simulate_run(config, run_index, sweep_workers=1):
-    """All RunRecords of a single run, one per schedule entry."""
+    """All RunRecords of a single run, one per schedule entry.
+
+    Counts and linear inversion go checkpoint by checkpoint; the ML fits
+    of all checkpoints then run in one `estimate.ml_estimates` call.
+    """
     truth = config.source
     povm = get_povm(config.povm)
     probs = povm.probabilities_from_features(ensemble_state(truth).features())
     rng_counts = stream_generator(config.master_seed, STREAM_COUNTS, run_index)
 
     records = []
-    ml_by_n = {}
     counts = np.zeros(povm.n_outcomes, dtype=np.int64)
     prev_n = 0
-    for n_index, n in enumerate(config.n_schedule):
+    for n in config.n_schedule:
         t0 = time.perf_counter()
         counts = counts + sample_counts(probs, n - prev_n, rng_counts)
         prev_n = n
         estimates = []
         for name in config.estimators:
+            if name == "ml":
+                estimates.append(None)  # filled in by the lockstep fits
+                continue
+            if name not in LI_METHODS:
+                raise ValueError(f"unknown estimator {name!r}")
             try:
-                if name == "li-xi":
-                    dec = _est.li_pipeline(counts, povm, "xi")
-                    estimates.append(EstimateResult(name, dec,
-                                                    *_score(truth, dec)))
-                elif name == "li-moments":
-                    dec = _est.li_pipeline(counts, povm, "moments")
-                    estimates.append(EstimateResult(name, dec,
-                                                    *_score(truth, dec)))
-                elif name == "ml":
-                    seed = seed_sequence(config.master_seed, STREAM_OPTIMIZER,
-                                         run_index, n_index)
-                    opt = dataclasses.replace(config.optimizer, seed=seed)
-                    ml = _est.ml_estimate(counts, povm, opt)
-                    ml_by_n[n] = ml.params
-                    dec = _est.ml_decomposition(ml)
-                    estimates.append(EstimateResult(name, dec,
-                                                    *_score(truth, dec),
-                                                    objective=ml.objective,
-                                                    converged=ml.converged))
-                else:
-                    raise ValueError(f"unknown estimator {name!r}")
+                dec = _est.li_pipeline(counts, povm, LI_METHODS[name])
             except (DegenerateInputError, NonPhysicalMomentsError,
                     IllConditionedError) as exc:
                 # keep the type (noisy counts are a runtime condition, not
                 # a usage error) but say which checkpoint broke
                 raise type(exc)(f"run {run_index}, N={n}, estimator "
                                 f"{name}: {exc}") from exc
+            estimates.append(EstimateResult(name, dec, *_score(truth, dec)))
         records.append(RunRecord(run_index, n, counts.copy(), estimates,
                                  config.master_seed,
                                  wall_time=time.perf_counter() - t0))
+
+    ml_by_n = {}
+    if "ml" in config.estimators:
+        slot = config.estimators.index("ml")
+        t0 = time.perf_counter()
+        fits = _est.ml_estimates(
+            [rec.counts for rec in records], povm, config.optimizer,
+            [seed_sequence(config.master_seed, STREAM_OPTIMIZER, run_index,
+                           n_index) for n_index in range(len(records))])
+        extra = (time.perf_counter() - t0) / len(records)
+        for rec, ml in zip(records, fits):
+            dec = _est.ml_decomposition(ml)
+            rec.estimates[slot] = EstimateResult("ml", dec, *_score(truth, dec),
+                                                 objective=ml.objective,
+                                                 converged=ml.converged)
+            rec.wall_time += extra
+            ml_by_n[rec.n_total] = ml.params
 
     if config.plausibility_enabled:
         checkpoints = config.plausibility_checkpoints or config.n_schedule

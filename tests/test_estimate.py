@@ -1,17 +1,20 @@
 import math
+from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pairtomo import (EmptyDataError, OptimizerConfig, ParamVector, li_pipeline,
-                      ml_estimate, moment_features)
+                      ml_estimate, ml_estimates, moment_features)
 from pairtomo.estimate import (DiagnosticsReport, MlEstimate, _batch_objective,
                                fidelity, fold_params, li_diagnostics,
                                log_likelihood, match_and_score,
                                ml_decomposition, remove_singlet)
 from pairtomo.povm import get_povm
 from pairtomo.qstate import (HALF_PI, TWO_PI, SymmetricTwoQubitState,
-                             ensemble_state, to_triplet_matrix)
+                             ensemble_state, random_param_array,
+                             to_triplet_matrix)
 from pairtomo.recon import Decomposition, IllConditionedError
 
 from conftest import oracle_probs, oracle_triplet
@@ -129,6 +132,103 @@ def test_batch_objective_matches_log_likelihood(rng):
 # --------------------------------------------------------------------------
 # optimizer
 
+def _reference_cma(objective, x0, sigma0, budget, tol, popsize, rng):
+    """One sequential evolution-strategy run: (best_x, best_f, converged, evals)."""
+    n = len(x0)
+    mu = popsize // 2
+    weights = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
+    weights = weights / weights.sum()
+    mueff = 1.0 / float(weights @ weights)
+    cc = (4.0 + mueff / n) / (n + 4.0 + 2.0 * mueff / n)
+    cs = (mueff + 2.0) / (n + mueff + 5.0)
+    c1 = 2.0 / ((n + 1.3) ** 2 + mueff)
+    cmu = min(1.0 - c1, 2.0 * (mueff - 2.0 + 1.0 / mueff) / ((n + 2.0) ** 2 + mueff))
+    damps = 1.0 + 2.0 * max(0.0, math.sqrt((mueff - 1.0) / (n + 1.0)) - 1.0) + cs
+    chi_n = math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
+
+    mean = np.array(x0, dtype=float)
+    sigma = float(sigma0)
+    cov = np.eye(n)
+    ps = np.zeros(n)
+    pc = np.zeros(n)
+    best_x = fold_params(mean)
+    best_f = float(objective(best_x[None, :])[0])
+    evals = 1
+    hist = deque(maxlen=10 + math.ceil(30.0 * n / popsize))
+    gen = 0
+    while evals + popsize <= budget:
+        gen += 1
+        eigvals, basis = np.linalg.eigh(cov)
+        eigvals = np.maximum(eigvals, 1e-20)
+        d = np.sqrt(eigvals)
+        z = rng.standard_normal((popsize, n))
+        y = z @ (basis * d).T
+        x = mean + sigma * y
+        xf = fold_params(x)
+        f = objective(xf)
+        evals += popsize
+        order = np.argsort(f, kind="stable")
+        if f[order[0]] < best_f:
+            best_f = float(f[order[0]])
+            best_x = xf[order[0]].copy()
+        y_sel = y[order[:mu]]
+        y_w = weights @ y_sel
+        mean = mean + sigma * y_w
+        inv_sqrt = (basis / d) @ basis.T
+        ps = (1.0 - cs) * ps + math.sqrt(cs * (2.0 - cs) * mueff) * (inv_sqrt @ y_w)
+        ps_norm = float(np.linalg.norm(ps))
+        hsig = ps_norm / math.sqrt(1.0 - (1.0 - cs) ** (2.0 * gen)) / chi_n \
+            < 1.4 + 2.0 / (n + 1.0)
+        pc = (1.0 - cc) * pc + hsig * math.sqrt(cc * (2.0 - cc) * mueff) * y_w
+        rank1 = np.outer(pc, pc) + (0.0 if hsig else cc * (2.0 - cc)) * cov
+        rank_mu = y_sel.T @ (weights[:, None] * y_sel)
+        cov = (1.0 - c1 - cmu) * cov + c1 * rank1 + cmu * rank_mu
+        cov = 0.5 * (cov + cov.T)
+        sigma *= math.exp((cs / damps) * (ps_norm / chi_n - 1.0))
+        hist.append(best_f)
+        if len(hist) == hist.maxlen and max(hist) - min(hist) < tol:
+            return best_x, best_f, True, evals
+        if sigma * math.sqrt(float(eigvals.max())) < 1e-13:
+            return best_x, best_f, True, evals
+    return best_x, best_f, False, evals
+
+
+def reference_ml_estimate(counts, povm_name, opt):
+    """Sequential oracle for ml_estimates: one fit, restarts one after another."""
+    povm = get_povm(povm_name)
+    counts = np.asarray(counts, dtype=float)
+    active = counts > 0
+    n_active = counts[active]
+    w_active = povm.moment_matrix[active]
+
+    def objective(rows):
+        qs = moment_features(rows) @ w_active.T
+        bad = (qs <= 0.0).any(axis=1)
+        vals = -(np.log(np.maximum(qs, 1e-300)) @ n_active) / counts.sum()
+        vals[bad] = np.inf
+        return vals
+
+    seed = opt.seed
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        rng = np.random.Generator(np.random.Philox(
+            seed if isinstance(seed, np.random.SeedSequence)
+            else np.random.SeedSequence(seed)))
+    budget = opt.max_evaluations // opt.restarts
+    best_x, best_f, converged, total_evals = None, np.inf, False, 0
+    for _ in range(opt.restarts):
+        x0 = random_param_array(rng, 1)[0]
+        x, fval, ok, used = _reference_cma(objective, x0, opt.sigma0, budget,
+                                           opt.tol, opt.population, rng)
+        total_evals += used
+        converged = converged or ok
+        if fval < best_f:
+            best_f, best_x = fval, x
+    return MlEstimate(ParamVector.from_array(best_x), float(best_f),
+                      converged, total_evals)
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(population=3)
@@ -176,6 +276,30 @@ def test_ml_deterministic_for_fixed_seed():
     d = ml_estimate(counts, "sic", OptimizerConfig(
         max_evaluations=3000, seed=np.random.SeedSequence(99)))
     assert c.params == d.params
+
+
+def test_ml_estimates_rejects_a_shared_generator():
+    # one Generator feeding two fits would interleave their draws
+    counts = exact_counts(SOURCES[0], "sic", n=500)
+    opt = OptimizerConfig(max_evaluations=240, restarts=1)
+    g = np.random.Generator(np.random.Philox(3))
+    with pytest.raises(ValueError, match="one Generator"):
+        ml_estimates([counts, counts], "sic", opt, [g, g])
+    with pytest.raises(ValueError, match="one Generator"):
+        ml_estimates([counts, counts], "sic", replace(opt, seed=g))
+    with pytest.raises(ValueError, match="2 seeds for 1 tables"):
+        ml_estimates([counts], "sic", opt, [1, 2])
+    # distinct generators, ints, SeedSequences and None behave as in lone fits
+    a, b = ml_estimates([counts, counts], "sic", opt,
+                        [np.random.Generator(np.random.Philox(5)),
+                         np.random.Generator(np.random.Philox(5))])
+    assert a == b == ml_estimate(counts, "sic", replace(opt, seed=5))
+    ss = np.random.SeedSequence(9)
+    a, b = ml_estimates([counts, counts], "sic", replace(opt, seed=ss))
+    assert a == b == ml_estimate(counts, "sic", replace(opt, seed=ss))
+    assert all(isinstance(e, MlEstimate)
+               for e in ml_estimates([counts, counts], "sic", opt))
+    assert ml_estimates([], "sic", opt) == []
 
 
 # --------------------------------------------------------------------------

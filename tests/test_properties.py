@@ -6,6 +6,7 @@ an invariant are pinned with @example.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from hypothesis import strategies as st
 from pairtomo import (DegenerateInputError, EmptyDataError,
                       IllConditionedError, NonPhysicalMomentsError,
                       OptimizerConfig, ParamVector, PureQubit, SIC, TETRA,
-                      ensemble_state, li_pipeline, ml_estimate)
+                      ensemble_state, li_pipeline, ml_estimate,
+                      ml_estimates)
 from pairtomo.estimate import fold_params
 from pairtomo.plausible import DegenerateSampleError, plausibility_sweep
 from pairtomo.qstate import HALF_PI, TWO_PI, wrap_phase
 from pairtomo.recon import eigh3
 
+from test_estimate import reference_ml_estimate
 from test_plausible import TRUTH, reference_report
 
 DOCUMENTED_LI_ERRORS = (NonPhysicalMomentsError, DegenerateInputError,
@@ -161,6 +164,44 @@ def test_ml_estimate_returns_parameters(table):
     est = ml_estimate(counts, povm, opt)
     assert isinstance(est.params, ParamVector)
     assert est.n_evaluations <= opt.max_evaluations
+
+
+@st.composite
+def fit_batches(draw):
+    """1-8 tables of one measurement with their own seeds, and a config
+    whose per-restart budget may hold no generation at all."""
+    povm = draw(povms)
+    k = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, 300), min_size=povm.n_outcomes,
+                   max_size=povm.n_outcomes).filter(lambda c: sum(c) > 0)
+    tables = [np.array(t) for t in draw(st.lists(row, min_size=k, max_size=k))]
+    seeds = draw(st.lists(st.integers(0, 2 ** 32), min_size=k, max_size=k))
+    population = draw(st.integers(4, 16))
+    opt = OptimizerConfig(population=population,
+                          max_evaluations=draw(st.integers(population,
+                                                           60 * population)),
+                          restarts=draw(st.integers(1, 5)),
+                          tol=draw(st.sampled_from([1e-10, 1e-4, 0.1])))
+    return povm, tables, seeds, opt
+
+
+@settings(max_examples=60)
+@given(fit_batches())
+@example((SIC, [np.array([0, 0, 5, 0, 0, 0, 0, 0, 1]), np.array([3] * 9)],
+          [1, 2], OptimizerConfig(population=12, max_evaluations=12,
+                                  restarts=5)))
+@example((TETRA, [np.array([0, 7, 0, 0, 0, 0, 0, 0, 0, 0])], [0],
+          OptimizerConfig(population=4, max_evaluations=240, restarts=3,
+                          tol=0.1)))
+def test_ml_estimates_match_sequential_reference(batch):
+    # lockstep fits equal lone sequential fits bit for bit, counters included
+    povm, tables, seeds, opt = batch
+    fits = ml_estimates(tables, povm, opt, seeds)
+    for counts, seed, fit in zip(tables, seeds, fits):
+        assert fit == reference_ml_estimate(counts, povm.name,
+                                            replace(opt, seed=seed))
+    assert ml_estimates(tables[::-1], povm, opt, seeds[::-1]) == fits[::-1]
+    assert ml_estimate(tables[0], povm, replace(opt, seed=seeds[0])) == fits[0]
 
 
 @settings(max_examples=60)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from pairtomo import TETRA, ensemble_state, sample_counts, seed_sequence
 from pairtomo.cli import ExperimentConfig
+from pairtomo.estimate import ml_decomposition, ml_estimate
 from pairtomo.recon import DegenerateInputError
 from pairtomo.sim import (GENERATOR_ID, STREAM_COUNTS, STREAM_OPTIMIZER,
                           STREAM_PRIOR, run_experiment, simulate_run,
@@ -130,6 +132,21 @@ def test_ml_estimates_are_seeded_per_checkpoint():
         assert ea.objective == eb.objective
         assert ea.converged in (True, False)
         assert ea.fidelity0 == eb.fidelity0
+
+
+def test_ml_fits_use_the_run_and_checkpoint_stream():
+    # the lockstep fits of a run equal lone fits on stream (run, n_index)
+    cfg = _config(runs=2, estimators=["li-xi", "ml"],
+                  optimizer={"max_evaluations": 1200}, n_schedule=[60, 200, 500])
+    for run in range(2):
+        for n_index, rec in enumerate(simulate_run(cfg, run)):
+            opt = dataclasses.replace(cfg.optimizer, seed=seed_sequence(
+                42, STREAM_OPTIMIZER, run, n_index))
+            ml = ml_estimate(rec.counts, cfg.povm, opt)
+            est = rec.estimates[1]
+            assert est.estimator == "ml"
+            assert est.decomposition == ml_decomposition(ml)
+            assert (est.objective, est.converged) == (ml.objective, ml.converged)
 
 
 def test_plausibility_attaches_to_requested_checkpoints():
