@@ -16,14 +16,13 @@ from .qstate import (FEATURE_NAMES, FEATURE_TRIPLETS, ParamVector, PureQubit,
 from .recon import (Decomposition, DegenerateInputError, IllConditionedError,
                     IllConditionedWarning, NonPhysicalMomentsError, TripletKet,
                     decompose_moments, states_from_xi, xi_from_triplet)
-from .povm import EmptyDataError, SIC, TETRA, get_povm, povm_for_arity
+from .povm import EmptyDataError, SIC, TETRA, get_povm
 from .estimate import (DiagnosticsReport, MlEstimate, OptimizerConfig,
                        li_diagnostics, li_pipeline, log_likelihood,
                        match_and_score, ml_estimate, ml_estimates)
 from .plausible import (AsymptoticsReport, DegenerateSampleError,
-                        PlausibilityReport, PriorSampler, asymptotics,
-                        is_plausible, plausibility, plausibility_sweep,
-                        sample_prior)
+                        PlausibilityReport, asymptotics, is_plausible,
+                        plausibility, plausibility_sweep)
 from .sim import (EstimateResult, RunRecord, run_experiment, sample_counts,
                   seed_sequence, simulate_run, stream_generator)
 
@@ -35,13 +34,12 @@ __all__ = [
     "Decomposition", "DegenerateInputError", "IllConditionedError",
     "IllConditionedWarning", "NonPhysicalMomentsError", "TripletKet",
     "decompose_moments", "states_from_xi", "xi_from_triplet",
-    "EmptyDataError", "SIC", "TETRA", "get_povm", "povm_for_arity",
+    "EmptyDataError", "SIC", "TETRA", "get_povm",
     "DiagnosticsReport", "MlEstimate", "OptimizerConfig", "li_diagnostics",
     "li_pipeline", "log_likelihood", "match_and_score", "ml_estimate",
     "ml_estimates",
     "AsymptoticsReport", "DegenerateSampleError", "PlausibilityReport",
-    "PriorSampler", "asymptotics", "is_plausible", "plausibility",
-    "plausibility_sweep", "sample_prior",
+    "asymptotics", "is_plausible", "plausibility", "plausibility_sweep",
     "EstimateResult", "RunRecord", "run_experiment", "sample_counts",
     "seed_sequence", "simulate_run", "stream_generator",
 ]

@@ -28,17 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .estimate import (OptimizerConfig, li_pipeline, match_and_score,
-                       ml_decomposition, ml_estimate)
+from .estimate import (OptimizerConfig, _as_generator, li_pipeline,
+                       match_and_score, ml_decomposition, ml_estimate)
 from .plausible import asymptotics, plausibility
 from .povm import get_povm
 from .qstate import (ParamVector, PureQubit, ensemble_state, moment_features,
                      random_param_array, to_triplet_matrix)
 from .recon import decompose_moments, eigh3
-from .sim import (GENERATOR_ID, STREAM_OPTIMIZER, STREAM_PRIOR, run_experiment,
-                  sample_counts, seed_sequence)
+from .sim import (GENERATOR_ID, LI_METHODS, STREAM_OPTIMIZER, STREAM_PRIOR,
+                  run_experiment, sample_counts, seed_sequence)
 
-ESTIMATOR_NAMES = ("li-xi", "li-moments", "ml")
+ESTIMATOR_NAMES = (*LI_METHODS, "ml")
 
 RESULT_COLUMNS = ("run", "n", "estimator", "err0_ppm", "err1_ppm", "p_err",
                   "fidelity0", "fidelity1", "lambda_pl", "size",
@@ -48,6 +48,10 @@ ASYMPTOTIC_COLUMNS = ("run", "n", "lambda_scaled", "size_scaled",
                       "one_minus_credibility_scaled", "ratio_d")
 
 DEFAULT_M = 10_000_000
+
+# the config's optimizer section: the seed comes from the master seed
+_OPTIMIZER_FIELDS = tuple(f.name for f in dataclasses.fields(OptimizerConfig)
+                          if f.name != "seed")
 
 
 class UsageError(Exception):
@@ -164,8 +168,7 @@ class ExperimentConfig:
                 if key not in data:
                     raise ValueError(f"missing required field '{key}'")
             opt = dict(data.get("optimizer") or {})
-            bad = sorted(set(opt) - {"population", "sigma0",
-                                     "max_evaluations", "tol", "restarts"})
+            bad = sorted(set(opt) - set(_OPTIMIZER_FIELDS))
             if bad:
                 raise ValueError(f"unknown optimizer fields: {bad}")
             pl = dict(data.get("plausibility") or {})
@@ -210,11 +213,8 @@ class ExperimentConfig:
             "n_schedule": list(self.n_schedule),
             "runs": self.runs,
             "estimators": list(self.estimators),
-            "optimizer": {"population": self.optimizer.population,
-                          "sigma0": self.optimizer.sigma0,
-                          "max_evaluations": self.optimizer.max_evaluations,
-                          "tol": self.optimizer.tol,
-                          "restarts": self.optimizer.restarts},
+            "optimizer": {k: getattr(self.optimizer, k)
+                          for k in _OPTIMIZER_FIELDS},
             "plausibility": {"enabled": self.plausibility_enabled,
                              "m": self.plausibility_m,
                              "checkpoints":
@@ -239,7 +239,6 @@ def _native(value):
 
 
 def _cell(value):
-    value = _native(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -281,12 +280,8 @@ def render_report(report, fmt):
     """Nested report as JSON, or flattened key/value CSV."""
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("key", "value"))
-    for key, value in _flatten(report):
-        writer.writerow((key, _cell(value)))
-    return buf.getvalue()
+    rows = [{"key": k, "value": v} for k, v in _flatten(report)]
+    return render_table(("key", "value"), rows, fmt)
 
 
 def result_rows(records):
@@ -345,12 +340,9 @@ def read_counts(path, povm):
             f"{povm.name} order {list(povm.outcome_names)}")
     try:
         counts = np.array([int(r[1]) for r in body], dtype=np.int64)
+        povm.validate_counts(counts)
     except (IndexError, ValueError) as exc:
-        raise UsageError(f"{path}: bad count value ({exc})") from exc
-    if (counts < 0).any():
-        raise UsageError(f"{path}: negative count")
-    if int(counts.sum()) == 0:
-        raise UsageError(f"{path}: empty data (all counts zero)")
+        raise UsageError(f"{path}: bad counts ({exc})") from exc
     return counts
 
 
@@ -369,21 +361,24 @@ def read_result_rows(path):
         if path.endswith(".json"):
             with open(path) as fh:
                 doc = json.load(fh)
-            rows = doc["rows"] if isinstance(doc, dict) else doc
-            if not isinstance(rows, list):
-                raise ValueError("no row list found")
-            return rows
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            fields = reader.fieldnames or []
-            rows = list(reader)
-        missing = [c for c in RESULT_COLUMNS if c not in fields]
+            if not (isinstance(doc, dict) and {"columns", "rows"} <= doc.keys()
+                    and isinstance(doc["rows"], list)
+                    and all(isinstance(r, dict) for r in doc["rows"])):
+                raise ValueError("expected {'columns': [...], 'rows': [{...}]}")
+            rows = doc["rows"]
+            keys = [set(r) for r in rows]
+        else:
+            with open(path, newline="") as fh:
+                reader = csv.DictReader(fh)
+                keys = [set(reader.fieldnames or [])]
+                rows = list(reader)
+        missing = [c for c in RESULT_COLUMNS if any(c not in k for k in keys)]
         if missing:
             raise ValueError(f"missing columns {missing}")
         return rows
     except OSError as exc:
         raise UsageError(f"cannot read results: {exc}") from exc
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{path}: not a result table ({exc})") from exc
 
 
@@ -429,6 +424,13 @@ def _threads(args):
     return args.threads if args.threads else (os.cpu_count() or 1)
 
 
+def _seed(args):
+    """--seed of estimate and plausible, default 0; never negative."""
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed or 0
+
+
 def _log(args):
     if args.verbose:
         return lambda msg: print(msg, file=sys.stderr)
@@ -438,8 +440,7 @@ def _log(args):
 def cmd_simulate(args):
     config = _load_config(args)
     log = _log(args)
-    records = run_experiment(config, workers=_threads(args),
-                             verbose=args.verbose, log=log)
+    records = run_experiment(config, workers=_threads(args), log=log)
     table = render_table(RESULT_COLUMNS, result_rows(records),
                          config.out_format)
     cfg_dict = config.to_dict()
@@ -481,7 +482,7 @@ def cmd_estimate(args):
     povm = get_povm(args.povm)
     counts = read_counts(args.counts, povm)
     names = args.estimator or ["li-xi"]
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args)
     report = {"povm": povm.name, "n_total": int(counts.sum()),
               "estimates": []}
     for name in names:
@@ -493,7 +494,7 @@ def cmd_estimate(args):
             entry["objective"] = ml.objective
             entry["converged"] = ml.converged
         else:
-            dec = li_pipeline(counts, povm, name.split("-", 1)[1])
+            dec = li_pipeline(counts, povm, LI_METHODS[name])
             entry = _decomposition_dict(name, dec)
         report["estimates"].append(entry)
     raw = povm.linear_inversion(counts)
@@ -507,9 +508,11 @@ def cmd_estimate(args):
 
 
 def cmd_plausible(args):
+    if args.m < 1:
+        raise UsageError(f"--m must be at least 1, got {args.m}")
     povm = get_povm(args.povm)
     counts = read_counts(args.counts, povm)
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args)
     log = _log(args)
     opt = OptimizerConfig(seed=seed_sequence(seed, STREAM_OPTIMIZER, 0, 0))
     ml = ml_estimate(counts, povm, opt)
@@ -576,7 +579,7 @@ def cmd_asymptotics(args):
 # Self test
 
 def _selftest_checks():
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
+    rng = _as_generator(7)
     sic = get_povm("sic")
     tetra = get_povm("tetra")
 

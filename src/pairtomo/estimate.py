@@ -408,11 +408,6 @@ def li_pipeline(counts, povm, method="xi"):
 # --------------------------------------------------------------------------
 # Scoring and diagnostics
 
-def fidelity(x, y):
-    """|<x|y>|^2 between two pure qubit states."""
-    return x.overlap(y)
-
-
 def match_and_score(truth, est):
     """Score a Decomposition against the true ParamVector.
 
@@ -421,10 +416,10 @@ def match_and_score(truth, est):
     (err0_ppm, err1_ppm, prob_abs_err): per-true-state infidelities in
     parts per million and |p0_est - p0_true| under that pairing.
     """
-    f00 = fidelity(est.state0, truth.state0)
-    f11 = fidelity(est.state1, truth.state1)
-    f01 = fidelity(est.state0, truth.state1)
-    f10 = fidelity(est.state1, truth.state0)
+    f00 = est.state0.overlap(truth.state0)
+    f11 = est.state1.overlap(truth.state1)
+    f01 = est.state0.overlap(truth.state1)
+    f10 = est.state1.overlap(truth.state0)
     if f00 + f11 >= f01 + f10:
         return ((1.0 - f00) * 1e6, (1.0 - f11) * 1e6, abs(est.p0 - truth.p0))
     return ((1.0 - f10) * 1e6, (1.0 - f01) * 1e6, abs(est.p1 - truth.p0))

@@ -52,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import log_likelihood
-from .povm import get_povm, povm_for_arity
-from .qstate import ParamVector, moment_features, random_param_array
+from .estimate import _as_generator, log_likelihood
+from .povm import get_povm
+from .qstate import moment_features, random_param_array
 
 # per-outcome stand-in for log 0: large enough that any observed count
 # drives lambda to exact 0, finite so that 0*log(0) products stay 0
@@ -71,54 +71,13 @@ class DegenerateSampleError(RuntimeError):
     """Every prior sample had likelihood ratio 0; enlarge M or reduce N."""
 
 
-def _as_seedseq(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def _chunk_children(seed, n_chunks):
     """Index-keyed child SeedSequences; stateless, replayable."""
-    ss = _as_seedseq(seed)
+    ss = (seed if isinstance(seed, np.random.SeedSequence)
+          else np.random.SeedSequence(seed))
     base = tuple(ss.spawn_key)
     return [np.random.SeedSequence(entropy=ss.entropy, spawn_key=base + (i,))
             for i in range(n_chunks)]
-
-
-@dataclass(frozen=True)
-class PriorSampler:
-    """Deterministic chunked stream of prior parameter draws."""
-
-    seed: object
-    m: int
-    chunk_size: int = DEFAULT_CHUNK
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("sample count must be at least 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-
-    @property
-    def n_chunks(self):
-        return -(-self.m // self.chunk_size)
-
-    def chunk_arrays(self):
-        """Yield (b, 5) parameter arrays, b = chunk_size except the tail."""
-        children = _chunk_children(self.seed, self.n_chunks)
-        left = self.m
-        for child in children:
-            b = min(self.chunk_size, left)
-            rng = np.random.Generator(np.random.Philox(child))
-            yield random_param_array(rng, b)
-            left -= b
-
-
-def sample_prior(m, seed):
-    """Iterate m prior-distributed ParamVectors."""
-    for arr in PriorSampler(seed, m).chunk_arrays():
-        for row in arr:
-            yield ParamVector.from_array(row)
 
 
 # --------------------------------------------------------------------------
@@ -134,8 +93,7 @@ def _chunk_stats(args):
     """
     child, b, povm_name, counts_mat, logl_ml, m = args
     povm = get_povm(povm_name)
-    rng = np.random.Generator(np.random.Philox(child))
-    rows = random_param_array(rng, b)
+    rows = random_param_array(_as_generator(child), b)
     qs = moment_features(rows) @ povm.moment_matrix.T
     logq = np.where(qs > 0.0, np.log(np.maximum(qs, 1e-300)), LOG_ZERO)
     out = np.empty((len(counts_mat), 3))
@@ -195,13 +153,6 @@ class PlausibilityReport:
     truth_plausible: object = None
 
 
-def _ratio(theta, counts, povm, logl_ml):
-    ll = log_likelihood(theta, counts, povm)
-    if ll == -math.inf:
-        return 0.0
-    return math.exp(min(ll - logl_ml, LOG_CAP))
-
-
 def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed, truth=None,
                        chunk_size=DEFAULT_CHUNK, workers=None):
     """Plausible-region reports for several checkpoints of one count stream.
@@ -210,42 +161,31 @@ def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed, truth=None,
     and theta_ml_list the matching ML estimates.  All checkpoints share
     the same prior sample, so the per-sample outcome probabilities are
     computed once; with dozens of checkpoints this dominates the cost of
-    separate calls.
+    separate calls.  Every table must hold counts: an all-zero one raises
+    EmptyDataError, as in the other estimators.
     """
     povm = get_povm(povm)
     if len(counts_list) != len(theta_ml_list):
         raise ValueError("one theta_ml per counts vector is required")
     if m < 1:
         raise ValueError("sample count must be at least 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
     workers = workers if workers else 1
-    counts_mat = np.asarray([np.asarray(c, dtype=float) for c in counts_list])
-    if counts_mat.ndim != 2 or counts_mat.shape[1] != povm.n_outcomes:
-        raise ValueError(f"counts vectors must have {povm.n_outcomes} entries")
+    counts_mat = np.array([povm.validate_counts(c) for c in counts_list])
     totals = counts_mat.sum(axis=1)
 
-    live = [i for i in range(len(counts_mat)) if totals[i] > 0]
     logl_ml = np.zeros(len(counts_mat))
-    for i in live:
-        ll = log_likelihood(theta_ml_list[i], counts_mat[i], povm)
+    for i, theta_ml in enumerate(theta_ml_list):
+        ll = log_likelihood(theta_ml, counts_mat[i], povm)
         if not math.isfinite(ll):
             raise ValueError(f"theta_ml for checkpoint {i} has zero likelihood")
         logl_ml[i] = ll
 
-    reports = [None] * len(counts_mat)
-    for i in range(len(counts_mat)):
-        if totals[i] == 0:
-            # no data: lambda == 1 identically, everything is plausible
-            reports[i] = PlausibilityReport(0, 1.0, 1.0, 1.0, m, 0.0, 0.0, 0.0,
-                                            True if truth is not None else None)
-    if not live:
-        return reports
-
-    live_counts = counts_mat[live]
-    live_logl = logl_ml[live]
-    n_chunks = PriorSampler(seed, m, chunk_size).n_chunks
+    n_chunks = -(-m // chunk_size)
     children = _chunk_children(seed, n_chunks)
     tasks = [(children[k], min(chunk_size, m - k * chunk_size), povm.name,
-              live_counts, live_logl, m) for k in range(n_chunks)]
+              counts_mat, logl_ml, m) for k in range(n_chunks)]
 
     workers = min(workers, n_chunks)
     with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
@@ -253,8 +193,8 @@ def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed, truth=None,
         first, kept = _keep_candidates(run(_chunk_stats, tasks), m)
         sum_lam = first[:, 0]
         sum_lam_sq = first[:, 1]
-        for j, i in enumerate(live):
-            if first[j, 2] == 0:
+        for i in range(len(counts_mat)):
+            if first[i, 2] == 0:
                 raise DegenerateSampleError(
                     f"all {m} likelihood ratios are 0 at N = {int(totals[i])}; "
                     "increase the sample count or evaluate a smaller N")
@@ -262,28 +202,29 @@ def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed, truth=None,
 
         replays = run(_chunk_stats,
                       [t for t, cands in zip(tasks, kept) if cands is None])
-        second = np.zeros((len(live), 3))
+        second = np.zeros((len(counts_mat), 3))
         for cands in kept:
             if cands is None:
                 cands = next(replays)[1]
-            for j, c in enumerate(cands):
-                above = c[c > lambda_pl[j]]
-                second[j] += (above.size, above.sum(), float(above @ above))
+            for i, c in enumerate(cands):
+                above = c[c > lambda_pl[i]]
+                second[i] += (above.size, above.sum(), float(above @ above))
     n_above = second[:, 0]
     sum_above = second[:, 1]
     sum_sq_above = second[:, 2]
 
-    for j, i in enumerate(live):
-        lam_pl = float(lambda_pl[j])
-        size = float(n_above[j]) / m
-        cred = float(sum_above[j] / sum_lam[j])
-        var_lam = max(sum_lam_sq[j] / m - lam_pl ** 2, 0.0)
+    reports = []
+    for i in range(len(counts_mat)):
+        lam_pl = float(lambda_pl[i])
+        size = float(n_above[i]) / m
+        cred = float(sum_above[i] / sum_lam[i])
+        var_lam = max(sum_lam_sq[i] / m - lam_pl ** 2, 0.0)
         se_lam = math.sqrt(var_lam / m)
         se_size = math.sqrt(max(size * (1.0 - size), 0.0) / m)
         # credibility is the ratio mean(lam*chi)/mean(lam): delta method
-        a = sum_above[j] / m
-        var_a = max(sum_sq_above[j] / m - a ** 2, 0.0)
-        cov_ab = sum_sq_above[j] / m - a * lam_pl
+        a = sum_above[i] / m
+        var_a = max(sum_sq_above[i] / m - a ** 2, 0.0)
+        cov_ab = sum_sq_above[i] / m - a * lam_pl
         denom = lam_pl * lam_pl
         if denom > 0.0:
             var_c = (var_a - 2.0 * cred * cov_ab + cred ** 2 * var_lam) / denom
@@ -293,9 +234,10 @@ def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed, truth=None,
             se_cred = math.inf
         plausible = None
         if truth is not None:
-            plausible = _ratio(truth, counts_mat[i], povm, logl_ml[i]) > lam_pl
-        reports[i] = PlausibilityReport(int(totals[i]), lam_pl, size, cred, m,
-                                        se_lam, se_size, se_cred, plausible)
+            plausible = is_plausible(truth, counts_mat[i], theta_ml_list[i],
+                                     lam_pl, povm)
+        reports.append(PlausibilityReport(int(totals[i]), lam_pl, size, cred, m,
+                                          se_lam, se_size, se_cred, plausible))
     return reports
 
 
@@ -306,16 +248,15 @@ def plausibility(counts, povm, theta_ml, m, seed, truth=None,
                               chunk_size, workers)[0]
 
 
-def is_plausible(theta, counts, theta_ml, lambda_pl, povm=None):
+def is_plausible(theta, counts, theta_ml, lambda_pl, povm):
     """Whether lambda(theta) = L(theta)/L(theta_ml) exceeds lambda_pl."""
-    if povm is None:
-        povm = povm_for_arity(len(np.asarray(counts)))
-    else:
-        povm = get_povm(povm)
+    povm = get_povm(povm)
     logl_ml = log_likelihood(theta_ml, counts, povm)
     if not math.isfinite(logl_ml):
         raise ValueError("theta_ml has zero likelihood for these counts")
-    return bool(_ratio(theta, counts, povm, logl_ml) > lambda_pl)
+    # a zero likelihood gives exp(-inf) = 0
+    ll = log_likelihood(theta, counts, povm)
+    return bool(math.exp(min(ll - logl_ml, LOG_CAP)) > lambda_pl)
 
 
 # --------------------------------------------------------------------------

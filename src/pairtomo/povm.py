@@ -188,12 +188,3 @@ def get_povm(name):
         return _POVMS[name]
     except KeyError:
         raise ValueError(f"unknown povm {name!r}; expected 'sic' or 'tetra'") from None
-
-
-def povm_for_arity(n):
-    """Infer the measurement model from the number of outcomes."""
-    if n == 9:
-        return SIC
-    if n == 10:
-        return TETRA
-    raise ValueError(f"no measurement model with {n} outcomes")

@@ -59,6 +59,11 @@ def _check_angle(name, value, upper):
         raise ValueError(f"{name} = {value!r} outside [0, {upper}]")
 
 
+def _check_phase(name, value):
+    if not (0.0 <= value < TWO_PI) or not math.isfinite(value):
+        raise ValueError(f"{name} = {value!r} outside [0, 2*pi)")
+
+
 def wrap_phase(phi):
     """Reduce angles (scalar or array) modulo 2 pi into [0, 2 pi).
 
@@ -102,8 +107,7 @@ class PureQubit:
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "phi", float(self.phi))
         _check_angle("theta", self.theta, HALF_PI)
-        if not (0.0 <= self.phi < TWO_PI) or not math.isfinite(self.phi):
-            raise ValueError(f"phi = {self.phi!r} outside [0, 2*pi)")
+        _check_phase("phi", self.phi)
         if math.sin(2 * self.theta) <= _POLE_TOL and self.phi != 0.0:
             object.__setattr__(self, "phi", 0.0)
 
@@ -162,8 +166,7 @@ class PureQubit:
 def bloch_from_angles(theta, phi):
     """Unit Bloch vector (sin2t cos phi, sin2t sin phi, cos2t) of PureQubit angles."""
     _check_angle("theta", theta, HALF_PI)
-    if not (0.0 <= phi < TWO_PI) or not math.isfinite(phi):
-        raise ValueError(f"phi = {phi!r} outside [0, 2*pi)")
+    _check_phase("phi", phi)
     s2 = math.sin(2 * theta)
     return np.array([s2 * math.cos(phi), s2 * math.sin(phi), math.cos(2 * theta)])
 
@@ -184,10 +187,8 @@ class ParamVector:
         _check_angle("theta0", self.theta0, HALF_PI)
         _check_angle("theta1", self.theta1, HALF_PI)
         _check_angle("alpha", self.alpha, HALF_PI)
-        for name in ("phi0", "phi1"):
-            v = getattr(self, name)
-            if not (0.0 <= v < TWO_PI) or not math.isfinite(v):
-                raise ValueError(f"{name} = {v!r} outside [0, 2*pi)")
+        _check_phase("phi0", self.phi0)
+        _check_phase("phi1", self.phi1)
 
     @classmethod
     def from_array(cls, arr):

@@ -3,24 +3,27 @@
 Randomness policy: every stream comes from the counter-based Philox
 generator seeded through numpy SeedSequence spawn keys
 
-    (stream id, run index)
+    (0, run index)                       counts
+    (1, run index, checkpoint index)     optimizer, one per ML fit
+    (2, run index, chunk index)          prior sampling, one per chunk
 
-with stream ids 0 = counts, 1 = optimizer, 2 = prior sampling.  A run's
-streams are therefore fixed by (master_seed, run index) alone, never by
-scheduling, so any worker count reproduces identical results; see
-GENERATOR_ID for the algorithm tag recorded in run records.
+where the stream id leads: 0 = counts, 1 = optimizer, 2 = prior.  A
+run's streams are therefore fixed by (master_seed, run index) alone,
+never by scheduling, so any worker count reproduces identical results;
+see GENERATOR_ID for the algorithm tag recorded in run records.
 
 Counts along an n_schedule are cumulative: each checkpoint extends the
 previous counts with a multinomial increment from the run's stream, so
 checkpoint N is a genuine prefix of the same simulated experiment.
 
 The ML fits of a run's checkpoints advance together in one lockstep call
-once all counts are drawn; checkpoint k's fit uses the optimizer stream
-(run index, k) and equals fitting its table alone, bit for bit.
+once all counts are drawn; each fit equals fitting its table alone on
+its own optimizer stream, bit for bit.
 """
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +51,7 @@ def seed_sequence(master_seed, *path):
 
 def stream_generator(master_seed, *path):
     """Philox generator on the given stream."""
-    return np.random.Generator(np.random.Philox(seed_sequence(master_seed, *path)))
+    return _est._as_generator(seed_sequence(master_seed, *path))
 
 
 def sample_counts(probs, n, seed):
@@ -199,7 +202,7 @@ def _run_task(args):
     return simulate_run(config, run_index, sweep_workers)
 
 
-def run_experiment(config, workers=None, verbose=False, log=None):
+def run_experiment(config, workers=None, log=None):
     """Simulate config.runs independent experiments; flat list of records.
 
     Results are identical for any worker count: run r always consumes the
@@ -212,16 +215,12 @@ def run_experiment(config, workers=None, verbose=False, log=None):
     workers = workers if workers else 1
     sweep_workers = workers if config.runs == 1 else 1
     tasks = [(config, r, sweep_workers) for r in range(config.runs)]
+    workers = min(workers, config.runs)
     records = []
-    if workers > 1 and config.runs > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r, recs in enumerate(pool.map(_run_task, tasks, chunksize=1)):
-                records.extend(recs)
-                if verbose and log:
-                    log(f"run {r + 1}/{config.runs} done")
-    else:
-        for r, task in enumerate(tasks):
-            records.extend(_run_task(task))
-            if verbose and log:
+    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
+        run = map if pool is None else pool.map
+        for r, recs in enumerate(run(_run_task, tasks)):
+            records.extend(recs)
+            if log:
                 log(f"run {r + 1}/{config.runs} done")
     return records

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from pairtomo import ParamVector, ensemble_state, sample_counts
+from pairtomo import (ParamVector, cli, ensemble_state, estimate, plausible,
+                      sample_counts)
 from pairtomo.cli import (ASYMPTOTIC_COLUMNS, RESULT_COLUMNS, ExperimentConfig,
                           UsageError, main, read_counts, read_result_rows,
                           render_counts, render_table)
-from pairtomo.povm import get_povm
+from pairtomo.povm import SIC, TETRA, SicPovm, TetraPovm, get_povm
 from pairtomo.qstate import PureQubit
 
 TRUTH = ParamVector.from_array([0.6, 1.0, 1.2, 4.0, 0.9])
@@ -166,6 +167,9 @@ def test_read_counts_rejects(tmp_path):
     path.write_text(render_counts(np.zeros(9, dtype=int), povm), newline="")
     with pytest.raises(UsageError):
         read_counts(str(path), povm)
+    path.write_text(render_counts(np.arange(-1, 8), povm), newline="")
+    with pytest.raises(UsageError, match="negative"):
+        read_counts(str(path), povm)
     with pytest.raises(UsageError):
         read_counts(str(tmp_path / "missing.csv"), povm)
 
@@ -296,6 +300,8 @@ def test_estimate_bad_inputs_exit_2(tmp_path):
     assert main(["estimate", str(path), "--povm", "sic"]) == 2
     tet = counts_file(tmp_path, 100)
     assert main(["estimate", tet, "--povm", "sic"]) == 2
+    assert main(["estimate", tet, "--povm", "tetra", "--estimator", "ml",
+                 "--seed", "-1"]) == 2
 
 
 # --------------------------------------------------------------------------
@@ -313,6 +319,13 @@ def test_plausible_report(tmp_path, capsys):
     assert 0.5 < report["credibility"] <= 1
     assert report["ratio_d"] is not None
     assert len(report["theta_ml"]) == 5
+
+
+def test_plausible_bad_arguments_exit_2(tmp_path):
+    path = counts_file(tmp_path, 100)
+    assert main(["plausible", path, "--povm", "tetra", "--m", "0"]) == 2
+    assert main(["plausible", path, "--povm", "tetra", "--m", "100",
+                 "--seed", "-1"]) == 2
 
 
 def test_plausible_degenerate_sample_exits_1(tmp_path):
@@ -352,6 +365,17 @@ def test_asymptotics_requires_plausibility_columns(tmp_path):
     cfg = base_config(output={"path": str(out)})
     assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
     assert main(["asymptotics", str(out / "results.csv")]) == 2
+    # JSON tables must be the {"columns", "rows"} document simulate writes,
+    # with every column in every row
+    row = {c: None for c in RESULT_COLUMNS}
+    row.update(run=0, n=100, lambda_pl=1e-3, size=1e-2, credibility=0.99)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps([row]))
+    assert main(["asymptotics", str(path)]) == 2
+    del row["n"]
+    path.write_text(json.dumps({"columns": list(RESULT_COLUMNS),
+                                "rows": [row]}))
+    assert main(["asymptotics", str(path)]) == 2
 
 
 # --------------------------------------------------------------------------
@@ -361,3 +385,39 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("ok  ") == len(out.strip().splitlines())
+
+
+# --------------------------------------------------------------------------
+# entry points that perfbench/ reaches from outside the package
+
+def test_perfbench_hook_points_resolve(tmp_path, monkeypatch):
+    for name in ("_load_config", "_emit", "result_rows", "render_table"):
+        assert callable(getattr(cli, name))
+    assert callable(estimate.li_pipeline) and callable(estimate.ml_estimate)
+    assert isinstance(SIC, SicPovm) and isinstance(TETRA, TetraPovm)
+    # the chunk kernel takes one 6-tuple
+    out, cands = plausible._chunk_stats(
+        (np.random.SeedSequence(0), 5, "tetra", np.ones((1, 10)),
+         np.zeros(1), 5))
+    assert out.shape == (1, 3) and len(cands) == 1
+    # cmd_simulate reaches run_experiment through the module global
+    captured = []
+    run_experiment = cli.run_experiment
+
+    def capture(*args, **kwargs):
+        records = run_experiment(*args, **kwargs)
+        captured.append(records)
+        return records
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    cfg = base_config(runs=1, estimators=["li-xi", "ml"],
+                      optimizer={"max_evaluations": 240},
+                      output={"path": str(tmp_path / "out")})
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--threads", "1"]) == 0
+    (records,) = captured
+    assert [(r.run_index, r.n_total) for r in records] == [(0, 50), (0, 100)]
+    for rec in records:
+        assert rec.counts.sum() == rec.n_total
+        assert [e.estimator for e in rec.estimates] == ["li-xi", "ml"]
+        assert all(e.decomposition is not None for e in rec.estimates)

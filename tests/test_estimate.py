@@ -8,9 +8,9 @@ import pytest
 from pairtomo import (EmptyDataError, OptimizerConfig, ParamVector, li_pipeline,
                       ml_estimate, ml_estimates, moment_features)
 from pairtomo.estimate import (DiagnosticsReport, MlEstimate, _batch_objective,
-                               fidelity, fold_params, li_diagnostics,
-                               log_likelihood, match_and_score,
-                               ml_decomposition, remove_singlet)
+                               fold_params, li_diagnostics, log_likelihood,
+                               match_and_score, ml_decomposition,
+                               remove_singlet)
 from pairtomo.povm import get_povm
 from pairtomo.qstate import (HALF_PI, TWO_PI, SymmetricTwoQubitState,
                              ensemble_state, random_param_array,
@@ -368,13 +368,6 @@ def test_match_and_score_handles_label_swap():
     e0, e1, _ = match_and_score(truth, dec)
     assert e0 < 1e-9  # the exact partner scores zero
     assert 0 < e1 < 200  # the rotated one, about (0.01 rad)^2 = 100 ppm
-
-
-def test_fidelity_is_squared_overlap():
-    a = SOURCES[0].state0
-    b = SOURCES[0].state1
-    assert fidelity(a, a) == pytest.approx(1.0, abs=1e-14)
-    assert fidelity(a, b) == pytest.approx(a.overlap(b), abs=0)
 
 
 # --------------------------------------------------------------------------

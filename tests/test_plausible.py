@@ -5,15 +5,15 @@ import pytest
 from scipy.special import gammaincc
 from scipy.stats import kstest
 
-from pairtomo import (ParamVector, PlausibilityReport, asymptotics,
+from pairtomo import (EmptyDataError, ParamVector, asymptotics,
                       ensemble_state, is_plausible, plausible, plausibility,
-                      plausibility_sweep, sample_counts, sample_prior)
+                      plausibility_sweep, sample_counts)
 from pairtomo.estimate import log_likelihood
-from pairtomo.plausible import (DEFAULT_CHUNK, LOG_CAP, LOG_ZERO,
-                                DegenerateSampleError, PriorSampler,
+from pairtomo.plausible import (LOG_CAP, LOG_ZERO, DegenerateSampleError,
                                 _chunk_children)
 from pairtomo.povm import get_povm
-from pairtomo.qstate import HALF_PI, TWO_PI, moment_features
+from pairtomo.qstate import (HALF_PI, TWO_PI, moment_features,
+                             random_param_array)
 
 TRUTH = ParamVector.from_array([0.6, 1.0, 1.2, 4.0, 0.9])
 
@@ -28,38 +28,32 @@ def tetra_counts(n, seed=3):
 # --------------------------------------------------------------------------
 # prior stream
 
-def test_prior_sampler_replay_and_shapes():
-    sampler = PriorSampler(seed=17, m=2500, chunk_size=1000)
-    assert sampler.n_chunks == 3
-    a = list(sampler.chunk_arrays())
-    b = list(sampler.chunk_arrays())
+def prior_chunks(seed, m, chunk_size):
+    """The sweep's prior draws: one (b, 5) array per chunk, in chunk order."""
+    n_chunks = -(-m // chunk_size)
+    for k, child in enumerate(_chunk_children(seed, n_chunks)):
+        rng = np.random.Generator(np.random.Philox(child))
+        yield random_param_array(rng, min(chunk_size, m - k * chunk_size))
+
+
+def test_chunk_children_replay_and_shapes():
+    a = list(prior_chunks(17, 2500, 1000))
+    b = list(prior_chunks(17, 2500, 1000))
     assert [x.shape for x in a] == [(1000, 5), (1000, 5), (500, 5)]
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
-    # chunk streams are keyed by index, not by iteration state: a sampler
-    # with a different chunk_size sees different groupings of new draws
+    # chunk streams are keyed by index, not by iteration state: a different
+    # chunk_size sees different groupings of new draws
     kids = _chunk_children(17, 3)
     assert [tuple(k.spawn_key) for k in kids] == [(0,), (1,), (2,)]
-
-
-def test_prior_sampler_validation():
-    with pytest.raises(ValueError):
-        PriorSampler(seed=0, m=0)
-    with pytest.raises(ValueError):
-        PriorSampler(seed=0, m=10, chunk_size=0)
-
-
-def test_sample_prior_yields_param_vectors():
-    out = list(sample_prior(7, seed=5))
-    assert len(out) == 7
-    for p in out:
-        assert isinstance(p, ParamVector)
-        assert 0 <= p.theta0 <= HALF_PI and 0 <= p.alpha <= HALF_PI
+    # a stream's SeedSequence key is extended by the chunk index
+    run = np.random.SeedSequence(17, spawn_key=(2, 4))
+    kids = _chunk_children(run, 2)
+    assert [tuple(k.spawn_key) for k in kids] == [(2, 4, 0), (2, 4, 1)]
 
 
 def test_prior_distribution():
-    rows = np.vstack(list(PriorSampler(seed=8, m=20000, chunk_size=8192)
-                          .chunk_arrays()))
+    rows = np.vstack(list(prior_chunks(8, 20000, 8192)))
     m = len(rows)
     # isotropy: each Bloch component has mean 0, variance 1/3
     for theta, phi in ((rows[:, 0], rows[:, 1]), (rows[:, 2], rows[:, 3])):
@@ -83,7 +77,7 @@ def reference_report(counts, povm_name, theta_ml, m, seed, chunk_size):
     logl_ml = log_likelihood(theta_ml, counts, povm_name)
     sum_lam = 0.0
     chunks = []
-    for rows in PriorSampler(seed, m, chunk_size).chunk_arrays():
+    for rows in prior_chunks(seed, m, chunk_size):
         qs = moment_features(rows) @ povm.moment_matrix.T
         logq = np.where(qs > 0.0, np.log(np.maximum(qs, 1e-300)), LOG_ZERO)
         loglam = logq @ counts - logl_ml
@@ -166,13 +160,6 @@ def test_sweep_matches_single_calls():
         assert rep.truth_plausible in (True, False)
 
 
-def test_no_data_checkpoint_convention():
-    rep = plausibility(np.zeros(10), "tetra", TRUTH, m=100, seed=0, truth=TRUTH)
-    assert rep == PlausibilityReport(0, 1.0, 1.0, 1.0, 100, 0.0, 0.0, 0.0, True)
-    rep = plausibility(np.zeros(10), "tetra", TRUTH, m=100, seed=0)
-    assert rep.truth_plausible is None
-
-
 def test_degenerate_sample_raises():
     # one prior draw against sharply peaked data: the ratio underflows to 0
     counts = tetra_counts(5000)
@@ -186,6 +173,12 @@ def test_sweep_validation():
         plausibility_sweep([counts], "tetra", [TRUTH, TRUTH], m=10, seed=0)
     with pytest.raises(ValueError):
         plausibility(counts, "tetra", TRUTH, m=0, seed=0)
+    with pytest.raises(ValueError):
+        plausibility(counts, "tetra", TRUTH, m=10, seed=0, chunk_size=0)
+    # an empty table raises as in every other estimator, even beside data
+    with pytest.raises(EmptyDataError):
+        plausibility_sweep([counts, np.zeros(10)], "tetra", [TRUTH, TRUTH],
+                           m=10, seed=0)
     with pytest.raises(ValueError):
         plausibility(counts[:4], "tetra", TRUTH, m=10, seed=0)
     dark = ParamVector.from_array([0, 0, 0, 0, 0.3])
@@ -213,19 +206,7 @@ def test_is_plausible_truth_for_its_own_data():
     # threshold below 1 keeps it inside
     assert rep.lambda_pl < 1
     assert rep.truth_plausible is True
-    assert is_plausible(TRUTH, counts, TRUTH, rep.lambda_pl) is True
-    assert is_plausible(TRUTH, counts, TRUTH, rep.lambda_pl, povm="tetra")
-
-
-def test_is_plausible_infers_povm_from_arity():
-    sic_counts = np.full(9, 20.0)
-    tet_counts = np.full(10, 20.0)
-    for counts, name in ((sic_counts, "sic"), (tet_counts, "tetra")):
-        a = is_plausible(TRUTH, counts, TRUTH, 0.5)
-        b = is_plausible(TRUTH, counts, TRUTH, 0.5, povm=name)
-        assert a == b
-    with pytest.raises(ValueError):
-        is_plausible(TRUTH, np.full(7, 3.0), TRUTH, 0.5)
+    assert is_plausible(TRUTH, counts, TRUTH, rep.lambda_pl, "tetra") is True
 
 
 def test_is_plausible_rejects_zero_likelihood_reference():
@@ -233,7 +214,7 @@ def test_is_plausible_rejects_zero_likelihood_reference():
     counts = np.zeros(9)
     counts[0] = 2
     with pytest.raises(ValueError):
-        is_plausible(TRUTH, counts, dark, 0.5)
+        is_plausible(TRUTH, counts, dark, 0.5, "sic")
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pairtomo import (EmptyDataError, ParamVector, SIC, TETRA, ensemble_state,
-                      get_povm, moment_features, povm_for_arity)
+                      get_povm, moment_features)
 from pairtomo.qstate import from_triplet_matrix, to_triplet_matrix
 
 from conftest import (SINGLET_4, oracle_probs, oracle_sic_elements4,
@@ -15,11 +15,8 @@ def test_get_povm_lookup():
     assert get_povm("sic") is SIC
     assert get_povm("tetra") is TETRA
     assert get_povm(SIC) is SIC
-    assert povm_for_arity(9) is SIC and povm_for_arity(10) is TETRA
     with pytest.raises(ValueError):
         get_povm("bell")
-    with pytest.raises(ValueError):
-        povm_for_arity(7)
 
 
 def test_elements_match_oracle_construction():
