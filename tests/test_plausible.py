@@ -167,14 +167,19 @@ def test_degenerate_sample_raises():
         plausibility(counts, "tetra", TRUTH, m=1, seed=0)
 
 
-def test_sweep_validation():
+def test_prior_sampler_validation():
+    # the prior draw needs at least one sample and a positive chunk size
     counts = tetra_counts(50)
-    with pytest.raises(ValueError):
-        plausibility_sweep([counts], "tetra", [TRUTH, TRUTH], m=10, seed=0)
     with pytest.raises(ValueError):
         plausibility(counts, "tetra", TRUTH, m=0, seed=0)
     with pytest.raises(ValueError):
         plausibility(counts, "tetra", TRUTH, m=10, seed=0, chunk_size=0)
+
+
+def test_sweep_validation():
+    counts = tetra_counts(50)
+    with pytest.raises(ValueError):
+        plausibility_sweep([counts], "tetra", [TRUTH, TRUTH], m=10, seed=0)
     # an empty table raises as in every other estimator, even beside data
     with pytest.raises(EmptyDataError):
         plausibility_sweep([counts, np.zeros(10)], "tetra", [TRUTH, TRUTH],
