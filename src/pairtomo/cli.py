@@ -329,6 +329,8 @@ def read_counts(path, povm):
             rows = [r for r in csv.reader(fh) if any(c.strip() for c in r)]
     except OSError as exc:
         raise UsageError(f"cannot read counts: {exc}") from exc
+    except (ValueError, csv.Error) as exc:
+        raise UsageError(f"{path}: not a counts CSV ({exc})") from exc
     if not rows or [c.strip().lower() for c in rows[0][:2]] != ["outcome",
                                                                 "count"]:
         raise UsageError(f"{path}: expected header 'outcome,count'")
@@ -341,7 +343,7 @@ def read_counts(path, povm):
     try:
         counts = np.array([int(r[1]) for r in body], dtype=np.int64)
         povm.validate_counts(counts)
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path}: bad counts ({exc})") from exc
     return counts
 
@@ -378,15 +380,30 @@ def read_result_rows(path):
         return rows
     except OSError as exc:
         raise UsageError(f"cannot read results: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, csv.Error) as exc:
         raise UsageError(f"{path}: not a result table ({exc})") from exc
 
 
-def _row_float(row, key):
+# a result table's n is a 64-bit count, which keeps n ** 2.5 finite
+_MAX_N = 2 ** 63 - 1
+
+
+def _row_number(row, key, parse=float):
+    """A numeric result-table cell, None when empty; UsageError when the
+    cell is not a number (JSON booleans, lists and objects included)."""
     value = row.get(key)
     if value is None or value == "":
         return None
-    return float(value)
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise UsageError(f"bad {key} cell {value!r}")
+    try:
+        return parse(value)
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"bad {key} cell {value!r} ({exc})") from None
+
+
+def _row_int(value):
+    return _as_int(int(value) if isinstance(value, str) else value, "cell")
 
 
 # --------------------------------------------------------------------------
@@ -544,28 +561,39 @@ def cmd_plausible(args):
 
 
 def cmd_asymptotics(args):
+    """Rescaled series of a result table.  Where log n = 0 (n = 1) the
+    log-scaled cells are left empty, and ratio_d where lambda_pl lies
+    outside (0, 1), which the asymptotic law does not cover."""
     rows = read_result_rows(args.results)
     out_rows = []
     for row in rows:
-        lam = _row_float(row, "lambda_pl")
-        size = _row_float(row, "size")
-        cred = _row_float(row, "credibility")
+        lam = _row_number(row, "lambda_pl")
+        size = _row_number(row, "size")
+        cred = _row_number(row, "credibility")
         if lam is None:
             continue
-        n = int(row["n"])
-        rep = asymptotics(n, lam, size=size, credibility=cred)
+        n = _row_number(row, "n", _row_int)
+        run = _row_number(row, "run", _row_int)
+        if n is None or run is None:
+            raise UsageError(f"{args.results}: a row with lambda_pl has "
+                             "no n or run")
+        if not 1 <= n <= _MAX_N:
+            raise UsageError(f"{args.results}: n = {n} outside [1, {_MAX_N}]")
+        ratio_d = None
+        if 0.0 < lam < 1.0:
+            ratio_d = asymptotics(n, lam, size=size, credibility=cred).ratio_d
         log_n = math.log(n)
         scale = n ** 2.5
         out_rows.append({
-            "run": int(row["run"]),
+            "run": run,
             "n": n,
             "lambda_scaled": scale * lam,
             "size_scaled": scale * log_n ** -2.5 * size
-                if size is not None else None,
+                if size is not None and log_n > 0.0 else None,
             "one_minus_credibility_scaled":
                 scale * log_n ** -1.5 * (1.0 - cred)
-                if cred is not None else None,
-            "ratio_d": rep.ratio_d,
+                if cred is not None and log_n > 0.0 else None,
+            "ratio_d": ratio_d,
         })
     if not out_rows:
         raise UsageError(f"{args.results}: no plausibility data "

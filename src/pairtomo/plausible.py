@@ -16,7 +16,12 @@ content ("credibility") are estimated from M prior samples:
 
 The prior draws each Bloch vector isotropically and alpha uniformly on
 [0, pi/2] (p0 = cos^2 alpha).  Evaluation is streamed in fixed-size
-chunks and makes one pass over the prior.  Each chunk reports its lambda
+chunks and makes one pass over the prior.  A chunk's kernel draws the
+moment features straight from the prior's uniforms as contiguous rows
+(`qstate.prior_features`), takes log q for every outcome and sample in
+one (outcomes, b) array, and then one vector-matrix product per
+checkpoint; a checkpoint's lambda values do not depend on which other
+checkpoints share the sweep.  Each chunk reports its lambda
 moments, which fix the threshold, and keeps as candidates the lambda
 values above S_k / M, where S_k is the chunk's lambda sum as reported.
 The indicator sums are then taken over the candidates alone, once the
@@ -54,7 +59,7 @@ import numpy as np
 
 from .estimate import _as_generator, log_likelihood
 from .povm import get_povm
-from .qstate import moment_features, random_param_array
+from .qstate import prior_features
 
 # per-outcome stand-in for log 0: large enough that any observed count
 # drives lambda to exact 0, finite so that 0*log(0) products stay 0
@@ -90,19 +95,27 @@ def _chunk_stats(args):
         (sum lambda, sum lambda^2, count lambda > 0)
     per checkpoint, and cands[i] holds the chunk's lambda values above
     out[i, 0] / m in sample order: a superset of those above lambda_pl.
+
+    The prior's moment features arrive as contiguous (10, b) rows, so the
+    outcome log probabilities are one (outcomes, b) array and each
+    checkpoint's log likelihoods one vector-matrix product over it.  The
+    checkpoints take separate products: a single counts_mat @ logq would
+    round differently with the number of checkpoints in the sweep.
     """
     child, b, povm_name, counts_mat, logl_ml, m = args
     povm = get_povm(povm_name)
-    rows = random_param_array(_as_generator(child), b)
-    qs = moment_features(rows) @ povm.moment_matrix.T
-    logq = np.where(qs > 0.0, np.log(np.maximum(qs, 1e-300)), LOG_ZERO)
+    logq = povm.moment_matrix @ prior_features(_as_generator(child), b)
+    positive = logq > 0.0
+    np.maximum(logq, 1e-300, out=logq)
+    np.log(logq, out=logq)
+    logq[~positive] = LOG_ZERO
     out = np.empty((len(counts_mat), 3))
     cands = []
     for i in range(len(counts_mat)):
-        loglam = logq @ counts_mat[i]
+        loglam = counts_mat[i] @ logq
         loglam -= logl_ml[i]
         np.minimum(loglam, LOG_CAP, out=loglam)
-        lam = np.exp(loglam)
+        lam = np.exp(loglam, out=loglam)
         out[i] = (lam.sum(), float(lam @ lam), np.count_nonzero(lam))
         cands.append(lam[lam > out[i, 0] / m])
     return out, cands
@@ -301,6 +314,10 @@ def asymptotics(n_total, lambda_pl, size=None, credibility=None):
     predicted_omc = _credibility_bracket(predicted_size, big_l)
     ratio_d = None
     if size is not None and credibility is not None:
-        ratio_d = (1.0 - credibility) / _credibility_bracket(size, big_l)
+        bracket = _credibility_bracket(size, big_l)
+        # 0 only once erfc(sqrt(L)) underflows (lambda_pl < ~1e-305) beside
+        # a zero size: no ratio is defined there
+        if bracket != 0.0:
+            ratio_d = (1.0 - credibility) / bracket
     return AsymptoticsReport(int(n_total), float(lambda_pl), predicted_size,
                              predicted_omc, ratio_d)

@@ -359,6 +359,55 @@ def random_param_array(rng, size):
     return out
 
 
+def _isotropic_bloch(u_lat, u_phi):
+    """(3, n) unit Bloch vectors from uniforms, cos 2theta = 1 - 2 u_lat.
+
+    sin 2theta = 2 sqrt(u (1 - u)) keeps its digits near the poles, where
+    sqrt(1 - cos^2 2theta) would cancel.
+    """
+    r = u_lat * (1.0 - u_lat)
+    np.sqrt(r, out=r)
+    r *= 2.0
+    phi = TWO_PI * u_phi
+    v = np.empty((3, len(u_lat)))
+    np.cos(phi, out=v[0])
+    np.sin(phi, out=v[1])
+    v[:2] *= r
+    np.subtract(1.0, 2.0 * u_lat, out=v[2])
+    return v
+
+
+def prior_features(rng, size):
+    """(10, size) moment features of parameter vectors from the reference
+    measure, one contiguous row per FEATURE_NAMES entry.
+
+    Draws the same uniforms as `random_param_array` and agrees with
+    `moment_features(random_param_array(rng, size)).T` to rounding, but
+    goes from uniforms to Bloch vectors without the angles in between:
+    five trig calls per sample instead of nine, and no arccos.
+    """
+    u = np.ascontiguousarray(rng.random((size, 5)).T)
+    a = _isotropic_bloch(u[0], u[1])
+    b = _isotropic_bloch(u[2], u[3])
+    p0 = np.cos(HALF_PI * u[4])
+    p0 *= p0
+    out = np.empty((10, size))
+    out[0] = 1.0
+    # s = b + p0 (a - b),  C = b b^T + p0 (a a^T - b b^T)
+    np.subtract(a, b, out=out[1:4])
+    out[1:4] *= p0
+    out[1:4] += b
+    for row, (i, j) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2),
+                                  (1, 2)), start=4):
+        bb = b[i] * b[j]
+        f = out[row]
+        np.multiply(a[i], a[j], out=f)
+        f -= bb
+        f *= p0
+        f += bb
+    return out
+
+
 # --------------------------------------------------------------------------
 # Triplet-sector 3x3 representation.
 #

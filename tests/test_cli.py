@@ -304,6 +304,20 @@ def test_estimate_bad_inputs_exit_2(tmp_path):
                  "--seed", "-1"]) == 2
 
 
+def test_unreadable_counts_exit_2(tmp_path):
+    # undecodable bytes, a field over the csv module's size limit and a
+    # count beyond int64 are usage errors, not runtime failures
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"outcome,count\n\xff\xfe,1\n")
+    assert main(["estimate", str(path), "--povm", "tetra"]) == 2
+    path.write_text("outcome,count\ns1," + "1" * 200_000 + "\n")
+    assert main(["estimate", str(path), "--povm", "tetra"]) == 2
+    rows = ["outcome,count"] + [f"{name},1" for name in TETRA.outcome_names]
+    rows[1] = "s1," + "9" * 30
+    path.write_text("\n".join(rows) + "\n")
+    assert main(["estimate", str(path), "--povm", "tetra"]) == 2
+
+
 # --------------------------------------------------------------------------
 # plausible and asymptotics
 
@@ -375,6 +389,39 @@ def test_asymptotics_requires_plausibility_columns(tmp_path):
     del row["n"]
     path.write_text(json.dumps({"columns": list(RESULT_COLUMNS),
                                 "rows": [row]}))
+    assert main(["asymptotics", str(path)]) == 2
+
+
+def test_asymptotics_leaves_undefined_cells_empty(tmp_path, capsys):
+    # log 1 = 0 leaves the log-scaled cells empty, and lambda_pl outside
+    # (0, 1) leaves ratio_d empty; the other cells are still written
+    rows = []
+    for n, lam in ((1, 0.3), (100, 1.0), (200, 0.0), (300, 1e-3)):
+        row = dict.fromkeys(RESULT_COLUMNS)
+        row.update(run=0, n=n, lambda_pl=lam, size=1e-2, credibility=0.99)
+        rows.append(row)
+    path = tmp_path / "results.csv"
+    path.write_text(render_table(RESULT_COLUMNS, rows, "csv"), newline="")
+    assert main(["asymptotics", str(path), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)["rows"]
+    assert out[0]["lambda_scaled"] == 0.3
+    assert out[0]["size_scaled"] is None
+    assert out[0]["one_minus_credibility_scaled"] is None
+    assert out[0]["ratio_d"] is not None
+    assert [r["ratio_d"] is None for r in out] == [False, True, True, False]
+    assert all(r["size_scaled"] is not None for r in out[1:])
+
+
+@pytest.mark.parametrize("column, cell", [("n", ""), ("n", "1.5"),
+                                          ("n", "0"), ("run", "x"),
+                                          ("lambda_pl", "abc"),
+                                          ("size", "[1]")])
+def test_asymptotics_bad_cells_exit_2(tmp_path, column, cell):
+    row = dict.fromkeys(RESULT_COLUMNS)
+    row.update(run=0, n=100, lambda_pl=1e-3, size=1e-2, credibility=0.99)
+    row[column] = cell
+    path = tmp_path / "results.csv"
+    path.write_text(render_table(RESULT_COLUMNS, [row], "csv"), newline="")
     assert main(["asymptotics", str(path)]) == 2
 
 

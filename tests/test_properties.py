@@ -5,6 +5,9 @@ tests draw the same examples on every run.  Edge inputs that once broke
 an invariant are pinned with @example.
 """
 
+import contextlib
+import io
+import json
 import math
 from dataclasses import replace
 
@@ -18,13 +21,16 @@ from pairtomo import (DegenerateInputError, EmptyDataError,
                       OptimizerConfig, ParamVector, PureQubit, SIC, TETRA,
                       ensemble_state, li_pipeline, ml_estimate,
                       ml_estimates)
+from pairtomo.cli import RESULT_COLUMNS, main, render_table
 from pairtomo.estimate import fold_params
-from pairtomo.plausible import DegenerateSampleError, plausibility_sweep
-from pairtomo.qstate import HALF_PI, TWO_PI, wrap_phase
+from pairtomo.plausible import (DegenerateSampleError, plausibility,
+                                plausibility_sweep)
+from pairtomo.qstate import (HALF_PI, TWO_PI, moment_features, prior_features,
+                             random_param_array, wrap_phase)
 from pairtomo.recon import eigh3
 
 from test_estimate import reference_ml_estimate
-from test_plausible import TRUTH, reference_report
+from test_plausible import TRUTH, reference_report, tetra_counts
 
 DOCUMENTED_LI_ERRORS = (NonPhysicalMomentsError, DegenerateInputError,
                         IllConditionedError, EmptyDataError)
@@ -223,3 +229,178 @@ def test_plausibility_sweep_matches_reference(table, m, chunk_size, seed):
         assert ref[0] == 0.0
         return
     assert (rep.lambda_pl, rep.size_pl, rep.credibility_pl) == ref
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3000), st.integers(0, 2 ** 64 - 1))
+@example(1, 0)
+def test_prior_features_agree_with_the_angle_route(b, seed):
+    # the direct feature draw and features of the angle draw see the same
+    # uniforms and leave the generator in the same state
+    rng = np.random.Generator(np.random.Philox(seed))
+    twin = np.random.Generator(np.random.Philox(seed))
+    features = prior_features(rng, b)
+    assert features.shape == (10, b) and features.flags.c_contiguous
+    np.testing.assert_allclose(
+        features, moment_features(random_param_array(twin, b)).T,
+        rtol=0, atol=2e-15)
+    assert rng.random() == twin.random()
+
+
+@st.composite
+def sweep_tables(draw):
+    """1-6 tables of one measurement with 1 <= N <= 400, and a reordering."""
+    povm = draw(povms)
+    k = draw(st.integers(1, 6))
+    tables = []
+    for _ in range(k):
+        n = draw(st.integers(1, 400))
+        cuts = draw(st.lists(st.integers(0, n), min_size=povm.n_outcomes - 1,
+                             max_size=povm.n_outcomes - 1))
+        tables.append(np.diff([0, *sorted(cuts), n]))
+    order = draw(st.permutations(range(k)))
+    return povm, tables, order
+
+
+@settings(max_examples=40)
+@given(sweep_tables(), st.integers(1, 3000), st.integers(1, 1500),
+       st.integers(0, 2 ** 32))
+@example((TETRA, [tetra_counts(100), tetra_counts(100) + tetra_counts(150, 4)],
+          [1, 0]), 2000, 512, 9)
+def test_sweep_checkpoints_are_independent(batch, m, chunk_size, seed):
+    # a checkpoint's report does not depend on which other tables share
+    # the sweep, nor on their order: the kernel takes one product per
+    # table, where a stacked counts @ logq product would round with the
+    # number of tables
+    povm, tables, order = batch
+    kw = dict(chunk_size=chunk_size, truth=TRUTH, workers=1)
+    thetas_ml = [TRUTH] * len(tables)
+    singles = []
+    for counts in tables:
+        try:
+            singles.append(plausibility(counts, povm, TRUTH, m, seed, **kw))
+        except DegenerateSampleError:
+            with pytest.raises(DegenerateSampleError):
+                plausibility_sweep(tables, povm, thetas_ml, m, seed, **kw)
+            return
+    reps = plausibility_sweep(tables, povm, thetas_ml, m, seed, **kw)
+    assert reps == singles
+    assert all(rep.truth_plausible in (True, False) for rep in singles)
+    shuffled = [tables[i] for i in order]
+    assert (plausibility_sweep(shuffled, povm, thetas_ml, m, seed, **kw)
+            == [singles[i] for i in order])
+
+
+# --------------------------------------------------------------------------
+# the command line's result-table boundary
+
+def _run_cli(argv):
+    """Exit code and stderr of one `pairtomo` invocation."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@st.composite
+def simulate_configs(draw):
+    """Small plausibility configs whose schedule starts at N = 1."""
+    steps = draw(st.lists(st.integers(1, 60), max_size=3))
+    n_schedule = [1]
+    for step in steps:
+        n_schedule.append(n_schedule[-1] + step)
+    population = draw(st.integers(4, 10))
+    return {
+        "povm": draw(st.sampled_from(["sic", "tetra"])),
+        "source": {"theta": draw(st.tuples(thetas, phis, thetas, phis,
+                                           thetas).map(list))},
+        "n_schedule": n_schedule,
+        "runs": draw(st.integers(1, 2)),
+        "estimators": ["ml"],
+        "optimizer": {"population": population,
+                      "max_evaluations": draw(st.integers(population, 300)),
+                      "restarts": draw(st.integers(1, 2))},
+        "plausibility": {"enabled": True, "m": draw(st.integers(1, 1000)),
+                         "checkpoints": []},
+        "master_seed": draw(st.integers(0, 2 ** 32)),
+        "output": {"format": draw(st.sampled_from(["csv", "json"]))},
+    }
+
+
+@pytest.mark.filterwarnings("ignore::pairtomo.IllConditionedWarning")
+@settings(max_examples=15)
+@given(simulate_configs())
+def test_asymptotics_accepts_what_simulate_writes(tmp_path_factory, cfg):
+    # N = 1 gives log N = 0, and a poor fit can put lambda_pl at or above
+    # 1: both must still give a rescaled table, not a runtime failure
+    out = tmp_path_factory.mktemp("sim")
+    cfg["output"]["path"] = str(out)
+    path = out / "config.json"
+    path.write_text(json.dumps(cfg))
+    rc, err = _run_cli(["simulate", "--config", str(path), "--threads", "1"])
+    if rc == 1:
+        # a prior sample with no support is a documented runtime failure
+        assert "DegenerateSampleError" in err
+        return
+    assert rc == 0, err
+    results = out / f"results.{cfg['output']['format']}"
+    rc, err = _run_cli(["asymptotics", str(results), "--out", str(out)])
+    assert rc == 0, err
+
+
+json_cells = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), st.floats(),
+    st.text(max_size=8), st.lists(st.integers(), max_size=2),
+    st.sampled_from(["", "1", "-3", "1e400", "nan", "0.5", "1.0"]))
+csv_cells = st.one_of(
+    st.text(max_size=8), st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", "1", "-3", "9" * 30, "1e400", "nan", "inf", "0.5",
+                     "1.0", "5e-324", "true"]))
+NUMERIC_COLUMNS = ("run", "n", "lambda_pl", "size", "credibility")
+
+
+@st.composite
+def result_tables(draw):
+    """CSV or JSON result tables with arbitrary cells in the columns that
+    asymptotics reads."""
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    cells = json_cells if fmt == "json" else csv_cells
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = dict.fromkeys(RESULT_COLUMNS)
+        row.update({c: draw(cells) for c in NUMERIC_COLUMNS})
+        rows.append(row)
+    return fmt, rows
+
+
+def _table_row(run, n, lambda_pl, size, credibility):
+    row = dict.fromkeys(RESULT_COLUMNS)
+    row.update(run=run, n=n, lambda_pl=lambda_pl, size=size,
+               credibility=credibility)
+    return row
+
+
+@settings(max_examples=200)
+@given(result_tables())
+@example(("csv", [_table_row(0, 1, 0.3, 0.2, 0.9)]))
+@example(("json", [_table_row(0, 1, 0.3, 0.2, 0.9)]))
+@example(("csv", [_table_row(0, 50, 5e-324, 0.0, 1.0)]))
+@example(("csv", [_table_row(0, 50, 1.0, 0.0, 1.0),
+                  _table_row(0, 60, 0.0, 0.0, 0.0)]))
+@example(("csv", [_table_row(0, "", 0.3, 0.2, 0.9)]))
+@example(("json", [_table_row(True, 10, 0.3, 0.2, 0.9)]))
+@example(("json", [_table_row(0, 10 ** 300, 0.3, 0.2, 0.9)]))
+@example(("json", [_table_row(0, 10, 10 ** 400, 0.2, 0.9)]))
+def test_asymptotics_exits_0_or_2_on_any_cells(tmp_path_factory, table):
+    # every result table either rescales or is refused as a usage error
+    fmt, rows = table
+    path = tmp_path_factory.mktemp("table") / f"results.{fmt}"
+    if fmt == "json":
+        path.write_text(json.dumps({"columns": list(RESULT_COLUMNS),
+                                    "rows": rows}))
+    else:
+        path.write_text(render_table(RESULT_COLUMNS, rows, "csv"), newline="")
+    rc, err = _run_cli(["asymptotics", str(path), "--out", str(path.parent)])
+    assert rc in (0, 2), err
