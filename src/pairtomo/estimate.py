@@ -6,7 +6,10 @@ Two estimator families operate on a vector of detection counts:
   the measurement's dual matrix, then one of the two analytic recovery
   routes from `recon`.  Unbiased but the intermediate state need not be
   physical; its singlet admixture (nonzero only for tetrahedron data) is
-  projected out and the triplet part renormalized before recovery.
+  projected out and the triplet part renormalized before recovery.  The
+  counts are validated once, at the entry; the inverted and the
+  singlet-removed states are built without re-running the state
+  constructor's checks, which hold by construction.
 
 * maximum likelihood (`ml_estimate`): minimize -log(L)/N over the
   five-parameter box (theta0, phi0, theta1, phi1, alpha) in
@@ -367,8 +370,9 @@ def remove_singlet(state, weight):
     if weight >= 1.0 - 1e-9:
         raise IllConditionedError("counts carry no triplet component")
     scale = 1.0 / (1.0 - weight)
-    return SymmetricTwoQubitState(state.s * scale,
-                                  (state.c + weight * np.eye(3)) * scale)
+    # elementwise on a symmetric C: the result is symmetric as it stands
+    return SymmetricTwoQubitState._unchecked(
+        state.s * scale, (state.c + weight * np.eye(3)) * scale)
 
 
 def _xi_decomposition(m3):
@@ -397,8 +401,9 @@ def li_pipeline(counts, povm, method="xi"):
     if method not in ("xi", "moments"):
         raise ValueError(f"unknown method {method!r}; expected 'xi' or 'moments'")
     counts = povm.validate_counts(counts)
-    tol = max(1e-8, 4.0 / math.sqrt(counts.sum()))
-    raw = povm.linear_inversion(counts)
+    total = counts.sum()
+    tol = max(1e-8, 4.0 / math.sqrt(total))
+    raw = povm._invert(counts, total)
     state = remove_singlet(raw, raw.singlet_weight)
     if method == "moments":
         return decompose_moments(state, tol)

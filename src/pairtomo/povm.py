@@ -73,14 +73,22 @@ class LinearPovm:
         self.dual_matrix = _frozen(dual_matrix)
 
     def validate_counts(self, counts):
-        """Counts as a float vector; rejects bad shapes, signs and empty data."""
+        """Counts as a float vector; rejects bad shapes, signs and empty data.
+
+        A table whose entries are finite but whose total overflows is
+        refused as not finite.
+        """
         counts = np.asarray(counts, dtype=float)
         if counts.shape != (self.n_outcomes,):
             raise ValueError(f"counts shape {counts.shape} does not match "
                              f"{self.name} ({self.n_outcomes} outcomes)")
-        if np.any(counts < 0) or not np.all(np.isfinite(counts)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = counts.sum()
+        # min is nan when an entry is; the total is not finite when an
+        # entry is infinite or the sum overflows
+        if not (counts.min() >= 0.0 and math.isfinite(total)):
             raise ValueError("counts must be finite and non-negative")
-        if counts.sum() <= 0.0:
+        if total <= 0.0:
             raise EmptyDataError("counts sum to zero")
         return counts
 
@@ -100,8 +108,12 @@ class LinearPovm:
         SymmetricTwoQubitState.is_physical.
         """
         counts = self.validate_counts(counts)
+        return self._invert(counts, counts.sum())
+
+    def _invert(self, counts, total):
+        """`linear_inversion` of counts that `validate_counts` accepted."""
         return SymmetricTwoQubitState.from_features(
-            self.dual_matrix @ (counts / counts.sum()))
+            self.dual_matrix @ (counts / total))
 
 
 class SicPovm(LinearPovm):

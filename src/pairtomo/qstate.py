@@ -70,6 +70,10 @@ def wrap_phase(phi):
     A plain `phi % (2 pi)` rounds a tiny negative angle up to exactly
     2 pi; that value is mapped to 0, the same point on the circle.
     """
+    if isinstance(phi, float):
+        # the same fmod-and-adjust rule as np.mod, without the array round trip
+        phi %= TWO_PI
+        return 0.0 if phi >= TWO_PI else phi
     phi = np.mod(phi, TWO_PI)
     return np.where(phi >= TWO_PI, 0.0, phi)[()]
 
@@ -232,6 +236,10 @@ class ParamVector:
         return PureQubit(self.theta1, self.phi1)
 
 
+# feature positions of the entries of C, row by row
+_C_OF_FEATURES = np.array([4, 7, 8, 7, 5, 9, 8, 9, 6])
+
+
 @dataclass(frozen=True)
 class SymmetricTwoQubitState:
     """Moment representation (s, C) of a swap-symmetric two-qubit state.
@@ -260,10 +268,26 @@ class SymmetricTwoQubitState:
 
     @classmethod
     def from_features(cls, features):
-        """Inverse of `features`; the leading constant entry is ignored."""
+        """Inverse of `features`; the leading constant entry is ignored.
+
+        C is symmetric by construction, so the constructor's checks are
+        not run.
+        """
         f = np.asarray(features, dtype=float)
-        c = np.array([[f[4], f[7], f[8]], [f[7], f[5], f[9]], [f[8], f[9], f[6]]])
-        return cls(f[1:4], c)
+        if f.shape != (10,):
+            raise ValueError(f"features shape {f.shape} is not (10,)")
+        return cls._unchecked(f[1:4].copy(), f[_C_OF_FEATURES].reshape(3, 3))
+
+    @classmethod
+    def _unchecked(cls, s, c):
+        """The state of new float arrays s, shape (3,), and c, shape (3, 3)
+        and exactly symmetric, taken as they are and made read-only."""
+        state = object.__new__(cls)
+        s.setflags(write=False)
+        c.setflags(write=False)
+        object.__setattr__(state, "s", s)
+        object.__setattr__(state, "c", c)
+        return state
 
     @property
     def singlet_weight(self):
@@ -456,9 +480,14 @@ def _feature_triplet_tensor():
 FEATURE_TRIPLETS = _feature_triplet_tensor()
 
 
+# FEATURE_TRIPLETS as a (10, 9) matrix, a view of the same memory
+_TRIPLET_MAP = FEATURE_TRIPLETS.reshape(10, 9)
+
+
 def triplet_from_features(features):
     """Triplet 3x3 matrices from (..., 10) moment features."""
-    return np.tensordot(np.asarray(features), FEATURE_TRIPLETS, axes=([-1], [0]))
+    f = np.asarray(features)
+    return np.dot(f.reshape(-1, 10), _TRIPLET_MAP).reshape(f.shape[:-1] + (3, 3))
 
 
 def to_triplet_matrix(state):

@@ -27,9 +27,10 @@ Two independent routes are provided:
   `probabilities_given_states` fits the weights by least squares.
 
 Eigen-decompositions use LAPACK through numpy.linalg.eigh.  `eigh3` adds
-a deterministic phase per eigenvector (canonical_phase), so the null ket
-does not depend on LAPACK's arbitrary phase; the real dyad of the moment
-route needs only a sign, fixed by taking g = s.e >= 0.
+a deterministic phase per eigenvector (canonical_phase), and
+`xi_from_triplet` fixes the phase of the null ket the same way, so it does
+not depend on LAPACK's arbitrary phase; the real dyad of the moment route
+needs only a sign, fixed by taking g = s.e >= 0.
 """
 
 import cmath
@@ -206,12 +207,12 @@ def xi_from_triplet(m, degeneracy_tol=DEGENERACY_TOL):
     m = np.asarray(m, dtype=complex)
     if m.shape != (3, 3) or np.max(np.abs(m - m.conj().T)) > 1e-12:
         raise ValueError("input must be a 3x3 Hermitian matrix")
-    w, v = eigh3(m)
+    w, v = np.linalg.eigh(m)
     if w[1] - w[0] < degeneracy_tol:
         warnings.warn("smallest triplet eigenvalues nearly degenerate; "
                       "null ket is ill-determined", IllConditionedWarning,
                       stacklevel=2)
-    u = v[:, 0]
+    u = canonical_phase(v[:, 0])
     ket = TripletKet(u[0], u[2] / math.sqrt(2.0), u[1])
     return ket, float(w[0])
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import deque
 from dataclasses import replace
 
@@ -12,10 +13,13 @@ from pairtomo.estimate import (DiagnosticsReport, MlEstimate, _batch_objective,
                                match_and_score, ml_decomposition,
                                remove_singlet)
 from pairtomo.povm import get_povm
-from pairtomo.qstate import (HALF_PI, TWO_PI, SymmetricTwoQubitState,
-                             ensemble_state, random_param_array,
-                             to_triplet_matrix)
-from pairtomo.recon import Decomposition, IllConditionedError
+from pairtomo.qstate import (FEATURE_TRIPLETS, HALF_PI, TWO_PI,
+                             SymmetricTwoQubitState, ensemble_state,
+                             random_param_array, to_triplet_matrix)
+from pairtomo.recon import (DEGENERACY_TOL, Decomposition,
+                            IllConditionedError, IllConditionedWarning,
+                            TripletKet, decompose_moments, eigh3,
+                            probabilities_given_states, states_from_xi)
 
 from conftest import oracle_probs, oracle_triplet
 
@@ -330,6 +334,61 @@ def test_li_tetra_removes_singlet_admixture():
         assert perr < 1e-9
 
 
+def _reference_counts(counts, povm):
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (povm.n_outcomes,):
+        raise ValueError("counts shape does not match")
+    if np.any(counts < 0) or not np.all(np.isfinite(counts)):
+        raise ValueError("counts must be finite and non-negative")
+    if counts.sum() <= 0.0:
+        raise EmptyDataError("counts sum to zero")
+    return counts
+
+
+def reference_li_pipeline(counts, povm_name, method):
+    """Oracle for li_pipeline: the same arithmetic with a check at every
+    step.  The counts are checked at the entry and again before
+    inversion, both states go through the checking constructor, the
+    triplet matrix comes from tensordot, and the null ket from eigh3
+    after the Hermitian check."""
+    povm = get_povm(povm_name)
+    if method not in ("xi", "moments"):
+        raise ValueError(f"unknown method {method!r}")
+    counts = _reference_counts(counts, povm)
+    tol = max(1e-8, 4.0 / math.sqrt(counts.sum()))
+    counts = _reference_counts(counts, povm)
+    f = povm.dual_matrix @ (counts / counts.sum())
+    raw = SymmetricTwoQubitState(f[1:4], np.array([[f[4], f[7], f[8]],
+                                                   [f[7], f[5], f[9]],
+                                                   [f[8], f[9], f[6]]]))
+    weight = raw.singlet_weight
+    if weight >= 1.0 - 1e-9:
+        raise IllConditionedError("counts carry no triplet component")
+    scale = 1.0 / (1.0 - weight)
+    state = SymmetricTwoQubitState(raw.s * scale,
+                                   (raw.c + weight * np.eye(3)) * scale)
+    if method == "moments":
+        return decompose_moments(state, tol)
+    m3 = np.tensordot(state.features(), FEATURE_TRIPLETS, axes=([-1], [0]))
+    if np.max(np.abs(m3 - m3.conj().T)) > 1e-12:
+        raise ValueError("input must be a 3x3 Hermitian matrix")
+    w, v = eigh3(m3)
+    if w[1] - w[0] < DEGENERACY_TOL:
+        warnings.warn("smallest triplet eigenvalues nearly degenerate",
+                      IllConditionedWarning)
+    u = v[:, 0]
+    sa, sb, degenerate = states_from_xi(
+        TripletKet(u[0], u[2] / math.sqrt(2.0), u[1]))
+    if not degenerate:
+        try:
+            p0, p1 = probabilities_given_states(m3, sa, sb)
+        except IllConditionedError:
+            degenerate = True
+    if degenerate:
+        return Decomposition(sa, sb, 1.0, 0.0, degenerate=True, method="xi")
+    return Decomposition.ordered(sa, sb, p0, p1, method="xi")
+
+
 def test_li_input_validation():
     with pytest.raises(EmptyDataError):
         li_pipeline(np.zeros(9), "sic")
@@ -347,6 +406,7 @@ def test_remove_singlet():
     np.testing.assert_allclose(out.s, clean.s, atol=1e-14)
     np.testing.assert_allclose(out.c, clean.c, atol=1e-14)
     assert abs(np.trace(out.c) - 1) < 1e-12
+    assert (out.c == out.c.T).all() and not out.c.flags.writeable
     with pytest.raises(IllConditionedError):
         remove_singlet(mixed, 1.0 - 1e-12)
 

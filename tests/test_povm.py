@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from pairtomo import (EmptyDataError, ParamVector, SIC, TETRA, ensemble_state,
-                      get_povm, moment_features)
+from pairtomo import (EmptyDataError, OptimizerConfig, ParamVector, SIC,
+                      TETRA, ensemble_state, get_povm, li_pipeline,
+                      log_likelihood, ml_estimate, moment_features,
+                      plausibility)
 from pairtomo.qstate import from_triplet_matrix, to_triplet_matrix
 
 from conftest import (SINGLET_4, oracle_probs, oracle_sic_elements4,
@@ -105,6 +108,9 @@ def test_tetra_linear_inversion_round_trip(param_draws):
         np.testing.assert_allclose(est.s, state.s, atol=1e-12)
         np.testing.assert_allclose(est.c, state.c, atol=1e-12)
         assert abs(est.singlet_weight) < 1e-13
+        # built without the constructor's checks, which hold as built
+        assert (est.c == est.c.T).all()
+        assert not (est.s.flags.writeable or est.c.flags.writeable)
 
 
 def test_tetra_outcome_grouping_values():
@@ -174,3 +180,21 @@ def test_outcome_names_and_arity():
         TETRA.linear_inversion(np.zeros(10))
     with pytest.raises(ValueError):
         SIC.linear_inversion(np.ones(10))
+
+
+def test_counts_whose_total_overflows_are_refused():
+    # every entry is finite, the total is not: refused before any numpy
+    # overflow warning, by every estimator that takes counts
+    counts = [1e308] * 9
+    theta = ParamVector.from_array([0.3, 1.0, 1.2, 2.0, 0.5])
+    opt = OptimizerConfig(max_evaluations=240, restarts=1, seed=0)
+    calls = (lambda: li_pipeline(counts, "sic"),
+             lambda: SIC.linear_inversion(counts),
+             lambda: ml_estimate(counts, "sic", opt),
+             lambda: log_likelihood(theta, counts, "sic"),
+             lambda: plausibility(counts, "sic", theta, 100, 0))
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="counts must be finite"):
+                call()

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from pairtomo import (DegenerateInputError, EmptyDataError,
                       IllConditionedError, NonPhysicalMomentsError,
                       OptimizerConfig, ParamVector, PureQubit, SIC, TETRA,
-                      ensemble_state, li_pipeline, ml_estimate,
+                      ensemble_state, get_povm, li_pipeline, ml_estimate,
                       ml_estimates)
 from pairtomo.cli import RESULT_COLUMNS, main, render_table
 from pairtomo.estimate import fold_params
@@ -29,7 +30,7 @@ from pairtomo.qstate import (HALF_PI, TWO_PI, moment_features, prior_features,
                              random_param_array, wrap_phase)
 from pairtomo.recon import eigh3
 
-from test_estimate import reference_ml_estimate
+from test_estimate import reference_li_pipeline, reference_ml_estimate
 from test_plausible import TRUTH, reference_report, tetra_counts
 
 DOCUMENTED_LI_ERRORS = (NonPhysicalMomentsError, DegenerateInputError,
@@ -85,6 +86,7 @@ def test_eigh3_contract(h):
 
 @given(angle)
 @example(-1e-17)
+@example(-5e-324)
 @example(-0.0)
 @example(-TWO_PI)
 @example(TWO_PI)
@@ -93,6 +95,10 @@ def test_wrap_phase_range(phi):
     assert 0.0 <= wrapped < TWO_PI
     assert math.cos(wrapped) == pytest.approx(math.cos(phi), abs=1e-9)
     assert math.sin(wrapped) == pytest.approx(math.sin(phi), abs=1e-9)
+    # a float takes the scalar path, an array np.mod: the same bits
+    arrayed = wrap_phase(np.array([phi]))[0]
+    assert wrapped == arrayed
+    assert math.copysign(1.0, wrapped) == math.copysign(1.0, arrayed)
 
 
 @given(st.lists(angle, min_size=5, max_size=5))
@@ -161,6 +167,34 @@ def test_li_pipeline_raises_only_documented_errors(table, method):
     except DOCUMENTED_LI_ERRORS:
         return
     assert 0.0 <= dec.p1 <= dec.p0 <= 1.0
+
+
+def _li_outcome(li, counts, povm, method):
+    """Result or (error type, message), and the warning categories."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = li(counts, povm, method)
+        except DOCUMENTED_LI_ERRORS as exc:
+            out = (type(exc), str(exc))
+    return out, [w.category for w in caught]
+
+
+@settings(max_examples=1000)
+@given(count_tables(), st.sampled_from(["xi", "moments"]))
+@example((SIC, np.array([0, 0, 446, 446, 446, 0, 669, 223, 446])), "xi")
+@example((SIC, np.array([0, 0, 446, 446, 446, 0, 669, 223, 446])), "moments")
+@example((TETRA, np.array([181, 181, 181, 0, 0, 0, 543, 0, 543, 543])), "xi")
+@example((TETRA, np.array([181, 181, 181, 0, 0, 0, 543, 0, 543, 543])),
+         "moments")
+@example((SIC, np.zeros(9, dtype=int)), "xi")
+@example((TETRA, np.zeros(10, dtype=int)), "moments")
+def test_li_pipeline_matches_reference(table, method):
+    # validating once and building states without the constructor's
+    # checks leaves the results, errors and warnings as they were
+    povm, counts = table
+    assert (_li_outcome(li_pipeline, counts, povm, method)
+            == _li_outcome(reference_li_pipeline, counts, povm.name, method))
 
 
 @given(count_tables(min_total=1))
@@ -404,3 +438,73 @@ def test_asymptotics_exits_0_or_2_on_any_cells(tmp_path_factory, table):
         path.write_text(render_table(RESULT_COLUMNS, rows, "csv"), newline="")
     rc, err = _run_cli(["asymptotics", str(path), "--out", str(path.parent)])
     assert rc in (0, 2), err
+
+
+# --------------------------------------------------------------------------
+# the command line's counts-file boundary
+
+GOOD_HEADERS = ("outcome,count", "Outcome, COUNT", " outcome ,count,note")
+BAD_HEADERS = ("count,outcome", "outcome", "outcome;count", "")
+odd_cells = st.one_of(
+    st.integers(-50, -1).map(str), st.integers(2 ** 63 - 1, 2 ** 64).map(str),
+    st.sampled_from(["", "1.5", "2e3", " 7 ", "x", "-0", "nan", "+3"]))
+
+
+@st.composite
+def counts_csvs(draw):
+    """Counts CSVs for `estimate`: a well-formed table under a header
+    variant, with at most one defect: a bad header, an odd count cell, or
+    outcome rows dropped, duplicated or reordered."""
+    povm = draw(povms)
+    counts = draw(st.lists(st.integers(0, 2000), min_size=povm.n_outcomes,
+                           max_size=povm.n_outcomes))
+    rows = [[name, str(n)] for name, n in zip(povm.outcome_names, counts)]
+    header = draw(st.sampled_from(GOOD_HEADERS))
+    defect = draw(st.sampled_from(["none", "header", "cell", "drop",
+                                   "duplicate", "reorder"]))
+    k = draw(st.integers(0, len(rows) - 1))
+    if defect == "header":
+        header = draw(st.sampled_from(BAD_HEADERS))
+    elif defect == "cell":
+        rows[k][1] = draw(odd_cells)
+    elif defect == "drop":
+        del rows[k]
+    elif defect == "duplicate":
+        rows.insert(k, list(rows[k]))
+    elif defect == "reorder":
+        rows = draw(st.permutations(rows))
+    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+    return povm.name, text, draw(st.sampled_from(["li-xi", "li-moments"]))
+
+
+def _counts_csv(povm, counts, estimator="li-xi"):
+    rows = zip(get_povm(povm).outcome_names, counts)
+    return (povm, "outcome,count\n" + "".join(f"{n},{c}\n" for n, c in rows),
+            estimator)
+
+
+@pytest.mark.filterwarnings("ignore::pairtomo.IllConditionedWarning")
+@settings(max_examples=120)
+@given(counts_csvs())
+@example(_counts_csv("sic", [0] * 9))
+@example(_counts_csv("sic", [0, 0, 446, 446, 446, 0, 669, 223, 446],
+                     "li-moments"))
+@example(_counts_csv("tetra", [181, 181, 181, 0, 0, 0, 543, 0, 543, 543]))
+@example(_counts_csv("tetra", [2 ** 62] * 10))
+@example(_counts_csv("sic", [1, 2, 3, 4, 5, 6, 7, 8, 2 ** 63]))
+@example(_counts_csv("sic", [1, 0, 0, 0, 0, 0, 0, 0, 0], "li-moments"))
+@example(_counts_csv("tetra", [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]))
+def test_estimate_exits_0_2_or_documented_1(tmp_path_factory, table):
+    # any counts file either estimates, is refused as a usage error, or
+    # fails with a documented linear-inversion error
+    povm, text, estimator = table
+    path = tmp_path_factory.mktemp("counts") / "counts.csv"
+    path.write_text(text)
+    rc, err = _run_cli(["estimate", str(path), "--povm", povm,
+                        "--estimator", estimator])
+    if rc == 1:
+        assert any(name in err for name in ("NonPhysicalMomentsError",
+                                            "DegenerateInputError",
+                                            "IllConditionedError")), err
+    else:
+        assert rc in (0, 2), err

@@ -128,6 +128,9 @@ def test_symmetric_state_validation():
         SymmetricTwoQubitState(np.zeros(3), np.array([[0, 1, 0],
                                                       [0, 0, 0],
                                                       [0, 0, 1]], float))
+    for shape in ((9,), (11,), (2, 10)):
+        with pytest.raises(ValueError):
+            SymmetricTwoQubitState.from_features(np.zeros(shape))
 
 
 def test_moment_features_match_state_features(param_draws):
