@@ -1,0 +1,8 @@
+"""`python -m pairtomo`: the `pairtomo` command line from a source checkout."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,6 +52,10 @@ DEFAULT_M = 10_000_000
 # the config's optimizer section: the seed comes from the master seed
 _OPTIMIZER_FIELDS = tuple(f.name for f in dataclasses.fields(OptimizerConfig)
                           if f.name != "seed")
+_OPTIMIZER_COUNTS = ("population", "max_evaluations", "restarts")
+# a count total is a 64-bit integer: the simulator's multinomial draw
+# needs one, and it keeps a result table's n ** 2.5 finite
+_MAX_N = 2 ** 63 - 1
 
 
 class UsageError(Exception):
@@ -121,8 +125,8 @@ class ExperimentConfig:
             raise ValueError("source must be a ParamVector")
         if not self.n_schedule:
             raise ValueError("n_schedule must not be empty")
-        if any(n < 1 for n in self.n_schedule):
-            raise ValueError("n_schedule entries must be positive")
+        if any(not 1 <= n <= _MAX_N for n in self.n_schedule):
+            raise ValueError(f"n_schedule entries must lie in [1, {_MAX_N}]")
         if any(b <= a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
             raise ValueError("n_schedule must be strictly increasing")
         if self.runs < 1:
@@ -187,7 +191,9 @@ class ExperimentConfig:
                 runs=_as_int(data.get("runs", 1), "runs"),
                 estimators=tuple(str(e) for e in
                                  data.get("estimators", ("li-xi", "ml"))),
-                optimizer=OptimizerConfig(**opt),
+                optimizer=OptimizerConfig(**{
+                    k: _as_int(v, f"optimizer.{k}") if k in _OPTIMIZER_COUNTS
+                    else v for k, v in opt.items()}),
                 plausibility_enabled=bool(pl.get("enabled", False)),
                 plausibility_m=_as_int(pl.get("m", DEFAULT_M),
                                        "plausibility.m"),
@@ -384,10 +390,6 @@ def read_result_rows(path):
         raise UsageError(f"{path}: not a result table ({exc})") from exc
 
 
-# a result table's n is a 64-bit count, which keeps n ** 2.5 finite
-_MAX_N = 2 ** 63 - 1
-
-
 def _row_number(row, key, parse=float):
     """A numeric result-table cell, None when empty; UsageError when the
     cell is not a number (JSON booleans, lists and objects included)."""
@@ -500,7 +502,8 @@ def cmd_estimate(args):
     counts = read_counts(args.counts, povm)
     names = args.estimator or ["li-xi"]
     seed = _seed(args)
-    report = {"povm": povm.name, "n_total": int(counts.sum()),
+    # Python ints: an int64 sum wraps for totals beyond 2^63 - 1
+    report = {"povm": povm.name, "n_total": sum(int(c) for c in counts),
               "estimates": []}
     for name in names:
         if name == "ml":

@@ -16,12 +16,17 @@ content ("credibility") are estimated from M prior samples:
 
 The prior draws each Bloch vector isotropically and alpha uniformly on
 [0, pi/2] (p0 = cos^2 alpha).  Evaluation is streamed in fixed-size
-chunks and makes one pass over the prior.  A chunk's kernel draws the
-moment features straight from the prior's uniforms as contiguous rows
-(`qstate.prior_features`), takes log q for every outcome and sample in
-one (outcomes, b) array, and then one vector-matrix product per
-checkpoint; a checkpoint's lambda values do not depend on which other
-checkpoints share the sweep.  Each chunk reports its lambda
+chunks and makes one pass over the prior.  A chunk's kernel walks its
+samples in cache-sized blocks: each block draws its moment features
+straight from the prior's uniforms as contiguous rows
+(`qstate.prior_features`), takes log q for every outcome in one
+(outcomes, block) array, and then one vector-matrix product and exp per
+checkpoint, written into that checkpoint's row of a (checkpoints, b)
+lambda array; a checkpoint's lambda values do not depend on which other
+checkpoints share the sweep.  Blocking changes no bit of the result:
+consecutive Philox draws give the same uniforms as one draw of the whole
+chunk, every step up to lambda works on each sample alone, and the sums
+below run over whole chunk rows as before.  Each chunk reports its lambda
 moments, which fix the threshold, and keeps as candidates the lambda
 values above S_k / M, where S_k is the chunk's lambda sum as reported.
 The indicator sums are then taken over the candidates alone, once the
@@ -70,6 +75,11 @@ LOG_CAP = 300.0
 DEFAULT_CHUNK = 100_000
 # lambda candidates held between the prior pass and the threshold (4 MiB)
 CANDIDATE_BUDGET = 1 << 19
+# samples per block of the chunk kernel: the working set (about 1 MiB)
+# stays in L2 cache.  A power of two, so that blocks split a chunk on the
+# unroll boundaries of the BLAS products and every sample takes the
+# kernel path it takes in a whole-chunk product; blocks of 5 do not
+_BLOCK = 4096
 
 
 class DegenerateSampleError(RuntimeError):
@@ -96,28 +106,36 @@ def _chunk_stats(args):
     per checkpoint, and cands[i] holds the chunk's lambda values above
     out[i, 0] / m in sample order: a superset of those above lambda_pl.
 
-    The prior's moment features arrive as contiguous (10, b) rows, so the
-    outcome log probabilities are one (outcomes, b) array and each
-    checkpoint's log likelihoods one vector-matrix product over it.  The
-    checkpoints take separate products: a single counts_mat @ logq would
-    round differently with the number of checkpoints in the sweep.
+    The samples run through in blocks of _BLOCK, small enough that a
+    block's uniforms, features and log probabilities stay in L2 cache, and
+    each block fills its columns of a (checkpoints, b) lambda array.  The
+    result is bitwise that of one pass over the whole chunk: successive
+    Philox draws give the same uniforms as one draw, every step up to
+    lambda works on each sample alone, and the sums run over whole rows.
+    The checkpoints take separate products: a single counts_mat @ logq
+    would round differently with the number of checkpoints in the sweep.
     """
     child, b, povm_name, counts_mat, logl_ml, m = args
-    povm = get_povm(povm_name)
-    logq = povm.moment_matrix @ prior_features(_as_generator(child), b)
-    positive = logq > 0.0
-    np.maximum(logq, 1e-300, out=logq)
-    np.log(logq, out=logq)
-    logq[~positive] = LOG_ZERO
+    moment_matrix = get_povm(povm_name).moment_matrix
+    rng = _as_generator(child)
+    lam = np.empty((len(counts_mat), b))
+    for start in range(0, b, _BLOCK):
+        stop = min(start + _BLOCK, b)
+        logq = moment_matrix @ prior_features(rng, stop - start)
+        positive = logq > 0.0
+        np.maximum(logq, 1e-300, out=logq)
+        np.log(logq, out=logq)
+        logq[~positive] = LOG_ZERO
+        for i in range(len(counts_mat)):
+            loglam = counts_mat[i] @ logq
+            loglam -= logl_ml[i]
+            np.minimum(loglam, LOG_CAP, out=loglam)
+            np.exp(loglam, out=lam[i, start:stop])
     out = np.empty((len(counts_mat), 3))
     cands = []
-    for i in range(len(counts_mat)):
-        loglam = counts_mat[i] @ logq
-        loglam -= logl_ml[i]
-        np.minimum(loglam, LOG_CAP, out=loglam)
-        lam = np.exp(loglam, out=loglam)
-        out[i] = (lam.sum(), float(lam @ lam), np.count_nonzero(lam))
-        cands.append(lam[lam > out[i, 0] / m])
+    for i, row in enumerate(lam):
+        out[i] = (row.sum(), float(row @ row), np.count_nonzero(row))
+        cands.append(row[row > out[i, 0] / m])
     return out, cands
 
 

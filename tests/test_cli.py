@@ -2,10 +2,14 @@ import dataclasses
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pairtomo
 from pairtomo import (ParamVector, cli, ensemble_state, estimate, plausible,
                       sample_counts)
 from pairtomo.cli import (ASYMPTOTIC_COLUMNS, RESULT_COLUMNS, ExperimentConfig,
@@ -304,6 +308,15 @@ def test_estimate_bad_inputs_exit_2(tmp_path):
                  "--seed", "-1"]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::pairtomo.IllConditionedWarning")
+def test_estimate_n_total_beyond_int64(tmp_path, capsys):
+    # every count fits int64 but their total does not: it must not wrap
+    path = tmp_path / "big.csv"
+    path.write_text(render_counts([2 ** 62] * 10, TETRA), newline="")
+    assert main(["estimate", str(path), "--povm", "tetra"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_total"] == 10 * 2 ** 62
+
+
 def test_unreadable_counts_exit_2(tmp_path):
     # undecodable bytes, a field over the csv module's size limit and a
     # count beyond int64 are usage errors, not runtime failures
@@ -432,6 +445,16 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("ok  ") == len(out.strip().splitlines())
+
+
+def test_python_m_pairtomo_runs_the_cli():
+    # a source checkout runs the command line without installing
+    src = os.path.dirname(os.path.dirname(pairtomo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "pairtomo", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "simulate" in proc.stdout
 
 
 # --------------------------------------------------------------------------

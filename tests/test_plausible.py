@@ -8,7 +8,7 @@ from scipy.stats import kstest
 from pairtomo import (EmptyDataError, ParamVector, asymptotics,
                       ensemble_state, is_plausible, plausible, plausibility,
                       plausibility_sweep, sample_counts)
-from pairtomo.estimate import log_likelihood
+from pairtomo.estimate import _as_generator, log_likelihood
 from pairtomo.plausible import (LOG_CAP, LOG_ZERO, DegenerateSampleError,
                                 _chunk_children)
 from pairtomo.povm import get_povm
@@ -94,6 +94,28 @@ def reference_report(counts, povm_name, theta_ml, m, seed, chunk_size):
     return lam_pl, n_above / m, sum_above / sum_lam
 
 
+def reference_chunk_stats(args):
+    """One chunk of the sweep in a single pass over all its samples: the
+    arithmetic of `plausible._chunk_stats` without the cache blocking."""
+    child, b, povm_name, counts_mat, logl_ml, m = args
+    povm = get_povm(povm_name)
+    logq = povm.moment_matrix @ prior_features(_as_generator(child), b)
+    positive = logq > 0.0
+    np.maximum(logq, 1e-300, out=logq)
+    np.log(logq, out=logq)
+    logq[~positive] = LOG_ZERO
+    out = np.empty((len(counts_mat), 3))
+    cands = []
+    for i in range(len(counts_mat)):
+        loglam = counts_mat[i] @ logq
+        loglam -= logl_ml[i]
+        np.minimum(loglam, LOG_CAP, out=loglam)
+        lam = np.exp(loglam, out=loglam)
+        out[i] = (lam.sum(), float(lam @ lam), np.count_nonzero(lam))
+        cands.append(lam[lam > out[i, 0] / m])
+    return out, cands
+
+
 def test_two_pass_streaming_matches_reference():
     counts = tetra_counts(400)
     rep = plausibility(counts, "tetra", TRUTH, m=3000, seed=21, chunk_size=1000)
@@ -146,6 +168,27 @@ def test_candidate_budget_overflow_replays_chunks(monkeypatch):
     monkeypatch.setattr(plausible, "_keep_candidates", spy)
     assert plausibility_sweep(counts_list, "tetra", [TRUTH] * 3, **kw) == full
     assert 0 < replayed[0] < 6
+
+
+def test_blocked_kernel_replays_match_whole_chunk(monkeypatch):
+    # chunks of 1000 samples in blocks of 256 (three full blocks and a
+    # tail), with a budget small enough that chunks are replayed: the
+    # reports are those of whole-chunk blocks without replays
+    counts_list = [tetra_counts(30), tetra_counts(300), tetra_counts(3000)]
+    kw = dict(m=5000, seed=9, chunk_size=1000, truth=TRUTH, workers=1)
+    whole = plausibility_sweep(counts_list, "tetra", [TRUTH] * 3, **kw)
+    calls = []
+
+    def spy(args):
+        calls.append(args)
+        return kernel(args)
+
+    kernel = plausible._chunk_stats
+    monkeypatch.setattr(plausible, "_BLOCK", 256)
+    monkeypatch.setattr(plausible, "CANDIDATE_BUDGET", 300)
+    monkeypatch.setattr(plausible, "_chunk_stats", spy)
+    assert plausibility_sweep(counts_list, "tetra", [TRUTH] * 3, **kw) == whole
+    assert len(calls) > 5  # five chunks, then at least one replay
 
 
 def test_degenerate_sample_raises():

@@ -9,8 +9,11 @@ import contextlib
 import io
 import json
 import math
+import pathlib
+import re
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +24,9 @@ from pairtomo import (DegenerateInputError, EmptyDataError,
                       IllConditionedError, NonPhysicalMomentsError,
                       OptimizerConfig, ParamVector, PureQubit, SIC, TETRA,
                       ensemble_state, get_povm, li_pipeline, ml_estimate,
-                      ml_estimates)
+                      ml_estimates, plausible)
 from pairtomo.cli import RESULT_COLUMNS, main, render_table
-from pairtomo.estimate import fold_params
+from pairtomo.estimate import fold_params, log_likelihood
 from pairtomo.plausible import (DegenerateSampleError, plausibility,
                                 plausibility_sweep)
 from pairtomo.qstate import (HALF_PI, TWO_PI, moment_features, prior_features,
@@ -31,7 +34,8 @@ from pairtomo.qstate import (HALF_PI, TWO_PI, moment_features, prior_features,
 from pairtomo.recon import eigh3
 
 from test_estimate import reference_li_pipeline, reference_ml_estimate
-from test_plausible import TRUTH, reference_report, tetra_counts
+from test_plausible import (TRUTH, reference_chunk_stats, reference_report,
+                            tetra_counts)
 
 DOCUMENTED_LI_ERRORS = (NonPhysicalMomentsError, DegenerateInputError,
                         IllConditionedError, EmptyDataError)
@@ -325,6 +329,52 @@ def test_sweep_checkpoints_are_independent(batch, m, chunk_size, seed):
             == [singles[i] for i in order])
 
 
+@st.composite
+def chunk_tasks(draw):
+    """A block size and one chunk's kernel arguments: b of one sample,
+    under one block, whole blocks or whole blocks plus a tail, and 1-6
+    tables of one measurement with N up to 20000, where most ratios
+    underflow, against the source or an arbitrary reference point."""
+    block = draw(st.sampled_from([64, 256, 4096]))
+    shape = draw(st.sampled_from(["one", "under", "whole", "tail"]))
+    if shape == "one":
+        b = 1
+    elif shape == "under":
+        b = draw(st.integers(1, block - 1))
+    else:
+        b = block * draw(st.integers(1, 3))
+        if shape == "tail":
+            b += draw(st.integers(1, block - 1))
+    povm = draw(povms)
+    tables = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 20000))
+        cuts = draw(st.lists(st.integers(0, n), min_size=povm.n_outcomes - 1,
+                             max_size=povm.n_outcomes - 1))
+        tables.append(np.diff([0, *sorted(cuts), n]).astype(float))
+    theta_ml = draw(st.one_of(st.just(TRUTH), params))
+    logl_ml = np.array([log_likelihood(theta_ml, c, povm) for c in tables])
+    assume(np.all(np.isfinite(logl_ml)))
+    child = np.random.SeedSequence(draw(st.integers(0, 2 ** 32)))
+    m = draw(st.integers(b, 4 * b))
+    return block, (child, b, povm.name, np.array(tables), logl_ml, m)
+
+
+@settings(max_examples=80)
+@given(chunk_tasks())
+def test_chunk_kernel_matches_whole_chunk_reference(task):
+    # blocking the chunk changes no bit: the same uniforms, per-sample
+    # arithmetic, and sums over whole chunk rows
+    block, args = task
+    with mock.patch.object(plausible, "_BLOCK", block):
+        out, cands = plausible._chunk_stats(args)
+    ref_out, ref_cands = reference_chunk_stats(args)
+    assert out.tobytes() == ref_out.tobytes()
+    assert len(cands) == len(ref_cands)
+    for c, r in zip(cands, ref_cands):
+        assert c.tobytes() == r.tobytes()
+
+
 # --------------------------------------------------------------------------
 # the command line's result-table boundary
 
@@ -381,6 +431,127 @@ def test_asymptotics_accepts_what_simulate_writes(tmp_path_factory, cfg):
     results = out / f"results.{cfg['output']['format']}"
     rc, err = _run_cli(["asymptotics", str(results), "--out", str(out)])
     assert rc == 0, err
+
+
+def _readme_config():
+    """The example config of the README's config schema section."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```json\n(.*?)```", readme.read_text(), re.S)
+    return json.loads(block.group(1))
+
+
+# documented runtime failures of `simulate`: the CLI's exit 1
+DOCUMENTED_SIMULATE_ERRORS = ("NonPhysicalMomentsError", "DegenerateInputError",
+                              "IllConditionedError", "DegenerateSampleError")
+
+odd_json = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=2),
+    st.sampled_from(["", "1", "sic", "ml", "1e400"]))
+bloch = st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=4)
+unit_bloch = st.tuples(thetas, phis).map(
+    lambda a: [math.sin(2 * a[0]) * math.cos(a[1]),
+               math.sin(2 * a[0]) * math.sin(a[1]), math.cos(2 * a[0])])
+# field -> values that read as config values; every count and budget is
+# small, so that no mutation asks for a long run
+CONFIG_VALUES = {
+    ("povm",): st.sampled_from(["sic", "tetra", "SIC", "pauli"]),
+    ("source",): st.one_of(
+        st.fixed_dictionaries({"theta": st.lists(
+            st.floats(-10.0, 10.0), min_size=4, max_size=6)}),
+        st.fixed_dictionaries({"a_bloch": st.one_of(unit_bloch, bloch),
+                               "b_bloch": unit_bloch,
+                               "p0": st.floats(-0.5, 1.5)})),
+    ("source", "theta"): st.tuples(*[st.floats()] * 5).map(list),
+    ("n_schedule",): st.lists(st.one_of(
+        st.integers(-1, 3000), st.floats(0.0, 3000.0),
+        st.sampled_from([2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 64])),
+        max_size=4),
+    ("runs",): st.integers(-1, 2),
+    ("estimators",): st.lists(st.sampled_from(
+        ["li-xi", "li-moments", "ml", "mle"]), max_size=4),
+    # a falsy section reads as {}, the default budget
+    ("optimizer",): st.sampled_from([True, 1, -2, 0.5, math.nan, "x", [0]]),
+    ("optimizer", "population"): st.one_of(st.integers(-1, 16),
+                                           st.floats(3.5, 16.0)),
+    ("optimizer", "sigma0"): st.floats(),
+    ("optimizer", "max_evaluations"): st.one_of(st.integers(-1, 300),
+                                                st.floats(0.0, 300.0)),
+    ("optimizer", "tol"): st.floats(),
+    ("optimizer", "restarts"): st.one_of(st.integers(-1, 2),
+                                         st.floats(0.0, 2.5)),
+    ("plausibility",): odd_json,
+    ("plausibility", "enabled"): st.booleans(),
+    ("plausibility", "m"): st.one_of(st.integers(-1, 1000),
+                                     st.floats(0.0, 1000.0)),
+    ("plausibility", "checkpoints"): st.lists(
+        st.sampled_from([100, 200, 500, 1000, 7, 150.0]), max_size=3),
+    ("master_seed",): st.one_of(st.integers(-1, 2 ** 70), st.floats()),
+    ("output",): odd_json,
+    ("output", "format"): st.sampled_from(["csv", "json", "xml"]),
+}
+# fields whose default budget (20000 evaluations, 5 restarts, 1e7 prior
+# samples) would make one example take minutes: never dropped
+KEEP_FIELDS = {("optimizer",), ("optimizer", "max_evaluations"),
+               ("optimizer", "restarts"), ("plausibility", "m")}
+
+
+def _small_readme_config(**fields):
+    """The README example with its budgets cut (2 runs, 300 evaluations,
+    m = 1000) and the given top-level fields replaced."""
+    cfg = _readme_config()
+    cfg["runs"] = 2
+    cfg["optimizer"].update(max_evaluations=300, restarts=1)
+    cfg["plausibility"]["m"] = 1000
+    cfg.update(fields)
+    return cfg
+
+
+@st.composite
+def readme_configs(draw):
+    """The cut README example with one to three fields dropped, added or
+    replaced."""
+    cfg = _small_readme_config()
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(sorted(CONFIG_VALUES)))
+        *parents, key = path
+        node = cfg
+        for name in parents:
+            node = node.get(name) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue  # an earlier mutation replaced the section
+        action = draw(st.sampled_from(["drop", "add", "odd", "value"]))
+        if action == "drop" and path not in KEEP_FIELDS:
+            node.pop(key, None)
+        elif action == "add":
+            node["extra"] = draw(odd_json)
+        elif action == "odd" and path not in KEEP_FIELDS:
+            node[key] = draw(odd_json)
+        else:
+            node[key] = draw(CONFIG_VALUES[path])
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore::pairtomo.IllConditionedWarning")
+@settings(max_examples=150)
+@given(readme_configs())
+@example(_small_readme_config(n_schedule=[100, 2 ** 64]))
+@example(_small_readme_config(n_schedule=[100, 2 ** 63 - 1]))
+@example(_small_readme_config(optimizer={"population": 6.0, "restarts": 1.0,
+                                         "max_evaluations": 120.0}))
+def test_simulate_exits_0_2_or_documented_1(tmp_path_factory, cfg):
+    # any config near the README example runs, is refused as a usage
+    # error, or fails with a documented runtime error
+    out = tmp_path_factory.mktemp("cfg")
+    if isinstance(cfg.get("output"), dict):
+        cfg["output"]["path"] = str(out)
+    path = out / "config.json"
+    path.write_text(json.dumps(cfg))
+    rc, err = _run_cli(["simulate", "--config", str(path), "--threads", "1"])
+    if rc == 1:
+        assert any(name in err for name in DOCUMENTED_SIMULATE_ERRORS), err
+    else:
+        assert rc in (0, 2), err
 
 
 json_cells = st.one_of(
