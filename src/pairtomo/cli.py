@@ -8,9 +8,11 @@ Subcommands:
     asymptotics  large-N rescaling of a result table
     selftest     run the analytic invariant suite
 
-Configs are JSON (schema in the README).  Result tables are long-format,
-one row per (run, N, estimator); wall_time is always serialized as null
-so identical (config, seed) reruns produce byte-identical files.
+Configs are JSON (schema in the README), read into an ExperimentConfig
+that checks itself on construction.  Result tables are long-format, one
+row per (run, N, estimator); wall_time is a reserved column, always
+empty because nothing is timed, so identical (config, seed) reruns
+produce byte-identical files.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
@@ -101,9 +103,25 @@ def _parse_source(node):
     raise ValueError("source needs either 'theta' or 'a_bloch'/'b_bloch'/'p0'")
 
 
+def _section(data, name, fields):
+    """An optional config section: absent reads as {}; anything but an
+    object, or an object with unknown fields, is a config error."""
+    node = data.get(name, {})
+    if not isinstance(node, dict):
+        raise ValueError(f"{name} must be an object, got {node!r}")
+    bad = sorted(set(node) - set(fields))
+    if bad:
+        raise ValueError(f"unknown {name} fields: {bad}")
+    return node
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a simulated batch needs; round-trips through to_dict."""
+    """Everything a simulated batch needs; round-trips through to_dict.
+
+    Checked on construction (dataclasses.replace included): a bad value
+    raises ValueError, so every instance is a valid config.
+    """
 
     povm: str
     source: ParamVector
@@ -118,9 +136,8 @@ class ExperimentConfig:
     out_dir: object = None
     out_format: str = "csv"
 
-    def validate(self):
-        if self.povm not in ("sic", "tetra"):
-            raise ValueError(f"unknown povm {self.povm!r}")
+    def __post_init__(self):
+        get_povm(self.povm)
         if not isinstance(self.source, ParamVector):
             raise ValueError("source must be a ParamVector")
         if not self.n_schedule:
@@ -171,19 +188,11 @@ class ExperimentConfig:
             for key in ("povm", "source", "n_schedule"):
                 if key not in data:
                     raise ValueError(f"missing required field '{key}'")
-            opt = dict(data.get("optimizer") or {})
-            bad = sorted(set(opt) - set(_OPTIMIZER_FIELDS))
-            if bad:
-                raise ValueError(f"unknown optimizer fields: {bad}")
-            pl = dict(data.get("plausibility") or {})
-            bad = sorted(set(pl) - {"enabled", "m", "checkpoints"})
-            if bad:
-                raise ValueError(f"unknown plausibility fields: {bad}")
-            out = dict(data.get("output") or {})
-            bad = sorted(set(out) - {"path", "format"})
-            if bad:
-                raise ValueError(f"unknown output fields: {bad}")
-            config = cls(
+            opt = _section(data, "optimizer", _OPTIMIZER_FIELDS)
+            pl = _section(data, "plausibility",
+                          ("enabled", "m", "checkpoints"))
+            out = _section(data, "output", ("path", "format"))
+            return cls(
                 povm=str(data["povm"]),
                 source=_parse_source(data["source"]),
                 n_schedule=tuple(_as_int(n, "n_schedule entry")
@@ -205,10 +214,8 @@ class ExperimentConfig:
                 out_dir=out.get("path"),
                 out_format=str(out.get("format", "csv")),
             )
-            config.validate()
         except (TypeError, ValueError) as exc:
             raise UsageError(f"bad config: {exc}") from exc
-        return config
 
     def to_dict(self):
         src = self.source
@@ -291,7 +298,7 @@ def render_report(report, fmt):
 
 
 def result_rows(records):
-    """Flatten RunRecords into ResultTable rows (wall_time always null)."""
+    """Flatten RunRecords into ResultTable rows (wall_time always empty)."""
     rows = []
     for rec in records:
         for est in rec.estimates:
@@ -430,13 +437,10 @@ def _load_config(args):
         override["out_dir"] = args.out
     if args.format is not None:
         override["out_format"] = args.format
-    if override:
-        config = dataclasses.replace(config, **override)
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    return config
+    try:
+        return dataclasses.replace(config, **override) if override else config
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _threads(args):

@@ -18,13 +18,15 @@ checkpoint N is a genuine prefix of the same simulated experiment.
 
 The ML fits of a run's checkpoints advance together in one lockstep call
 once all counts are drawn; each fit equals fitting its table alone on
-its own optimizer stream, bit for bit.
+its own optimizer stream, bit for bit.  The plausibility sweep follows
+the fits, and each record is built once, after the sweep, with its
+estimates in the config's order.  Nothing is timed.
 """
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -77,7 +79,7 @@ def sample_counts(probs, n, seed):
     return _est._as_generator(seed).multinomial(int(n), p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimateResult:
     """One estimator's output and scores for one (run, N) checkpoint."""
 
@@ -98,12 +100,7 @@ class EstimateResult:
 
 @dataclass
 class RunRecord:
-    """All results for one (run, N) checkpoint.
-
-    wall_time is informational only; it is excluded from comparisons and
-    serialized as null so that equal (config, seed) yield equal records
-    and byte-identical output files.
-    """
+    """All results for one (run, N) checkpoint."""
 
     run_index: int
     n_total: int
@@ -111,7 +108,6 @@ class RunRecord:
     estimates: list
     master_seed: int
     generator_id: str = GENERATOR_ID
-    wall_time: float = field(default=0.0, compare=False)
 
 
 def _score(truth, dec):
@@ -123,27 +119,26 @@ def simulate_run(config, run_index, sweep_workers=1):
     """All RunRecords of a single run, one per schedule entry.
 
     Counts and linear inversion go checkpoint by checkpoint; the ML fits
-    of all checkpoints then run in one `estimate.ml_estimates` call.
+    of all checkpoints then run in one `estimate.ml_estimates` call, and
+    the plausibility sweep last; each ML result, built with its summary,
+    takes its slot in the config's estimator order.
     """
     truth = config.source
     povm = get_povm(config.povm)
     probs = povm.probabilities_from_features(ensemble_state(truth).features())
     rng_counts = stream_generator(config.master_seed, STREAM_COUNTS, run_index)
 
-    records = []
+    tables, estimates = [], []
     counts = np.zeros(povm.n_outcomes, dtype=np.int64)
     prev_n = 0
     for n in config.n_schedule:
-        t0 = time.perf_counter()
         counts = counts + sample_counts(probs, n - prev_n, rng_counts)
         prev_n = n
-        estimates = []
+        tables.append(counts)
+        row = []
         for name in config.estimators:
-            if name == "ml":
-                estimates.append(None)  # filled in by the lockstep fits
-                continue
             if name not in LI_METHODS:
-                raise ValueError(f"unknown estimator {name!r}")
+                continue
             try:
                 dec = _est.li_pipeline(counts, povm, LI_METHODS[name])
             except (DegenerateInputError, NonPhysicalMomentsError,
@@ -152,54 +147,39 @@ def simulate_run(config, run_index, sweep_workers=1):
                 # a usage error) but say which checkpoint broke
                 raise type(exc)(f"run {run_index}, N={n}, estimator "
                                 f"{name}: {exc}") from exc
-            estimates.append(EstimateResult(name, dec, *_score(truth, dec)))
-        records.append(RunRecord(run_index, n, counts.copy(), estimates,
-                                 config.master_seed,
-                                 wall_time=time.perf_counter() - t0))
+            row.append(EstimateResult(name, dec, *_score(truth, dec)))
+        estimates.append(row)
 
-    ml_by_n = {}
+    fits = []
     if "ml" in config.estimators:
-        slot = config.estimators.index("ml")
-        t0 = time.perf_counter()
         fits = _est.ml_estimates(
-            [rec.counts for rec in records], povm, config.optimizer,
+            tables, povm, config.optimizer,
             [seed_sequence(config.master_seed, STREAM_OPTIMIZER, run_index,
-                           n_index) for n_index in range(len(records))])
-        extra = (time.perf_counter() - t0) / len(records)
-        for rec, ml in zip(records, fits):
-            dec = _est.ml_decomposition(ml)
-            rec.estimates[slot] = EstimateResult("ml", dec, *_score(truth, dec),
-                                                 objective=ml.objective,
-                                                 converged=ml.converged)
-            rec.wall_time += extra
-            ml_by_n[rec.n_total] = ml.params
+                           n_index) for n_index in range(len(tables))])
 
+    reports = {}
     if config.plausibility_enabled:
-        checkpoints = config.plausibility_checkpoints or config.n_schedule
-        by_n = {rec.n_total: rec for rec in records}
-        t0 = time.perf_counter()
-        reports = _pl.plausibility_sweep(
-            [by_n[n].counts for n in checkpoints], povm,
-            [ml_by_n[n] for n in checkpoints],
-            config.plausibility_m,
+        checkpoints = [config.n_schedule.index(n) for n in
+                       config.plausibility_checkpoints or config.n_schedule]
+        sweep = _pl.plausibility_sweep(
+            [tables[i] for i in checkpoints], povm,
+            [fits[i].params for i in checkpoints], config.plausibility_m,
             seed_sequence(config.master_seed, STREAM_PRIOR, run_index),
             truth=truth, workers=sweep_workers)
-        extra = (time.perf_counter() - t0) / len(checkpoints)
-        for n, rep in zip(checkpoints, reports):
-            rec = by_n[n]
-            rec.wall_time += extra
-            for e in rec.estimates:
-                if e.estimator == "ml":
-                    e.lambda_pl = rep.lambda_pl
-                    e.size_pl = rep.size_pl
-                    e.credibility_pl = rep.credibility_pl
-                    e.truth_plausible = rep.truth_plausible
-    return records
+        reports = dict(zip(checkpoints, sweep))
 
-
-def _run_task(args):
-    config, run_index, sweep_workers = args
-    return simulate_run(config, run_index, sweep_workers)
+    for i, ml in enumerate(fits):
+        dec = _est.ml_decomposition(ml)
+        rep = reports.get(i)
+        plausible = {} if rep is None else {
+            "lambda_pl": rep.lambda_pl, "size_pl": rep.size_pl,
+            "credibility_pl": rep.credibility_pl,
+            "truth_plausible": rep.truth_plausible}
+        estimates[i].insert(config.estimators.index("ml"), EstimateResult(
+            "ml", dec, *_score(truth, dec), objective=ml.objective,
+            converged=ml.converged, **plausible))
+    return [RunRecord(run_index, n, table, row, config.master_seed)
+            for n, table, row in zip(config.n_schedule, tables, estimates)]
 
 
 def run_experiment(config, workers=None, log=None):
@@ -211,15 +191,15 @@ def run_experiment(config, workers=None, log=None):
     runs; a single-run config parallelizes its plausibility chunks
     instead.
     """
-    config.validate()
     workers = workers if workers else 1
     sweep_workers = workers if config.runs == 1 else 1
-    tasks = [(config, r, sweep_workers) for r in range(config.runs)]
     workers = min(workers, config.runs)
     records = []
     with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
         run = map if pool is None else pool.map
-        for r, recs in enumerate(run(_run_task, tasks)):
+        runs = run(simulate_run, repeat(config), range(config.runs),
+                   repeat(sweep_workers))
+        for r, recs in enumerate(runs):
             records.extend(recs)
             if log:
                 log(f"run {r + 1}/{config.runs} done")

@@ -106,10 +106,27 @@ def test_source_forms_agree():
     {"frobnicate": 1},
     {"source": {"a_bloch": [1, 1, 0], "b_bloch": [0, 0, 1], "p0": 0.5}},
     {"source": {"theta": [0.1, 0.2, 0.3]}},
+    # a section is absent or an object; a falsy value is not the defaults
+    {"optimizer": []},
+    {"optimizer": None},
+    {"plausibility": 0},
+    {"output": ""},
 ])
 def test_config_rejects(mutate):
     with pytest.raises(UsageError):
         ExperimentConfig.from_dict(base_config(**mutate))
+
+
+@pytest.mark.parametrize("bad", [{"runs": 0},
+                                 {"estimators": ("li-xi", "gradient")}])
+def test_config_is_valid_by_construction(bad):
+    # built directly or through dataclasses.replace, a config checks itself
+    with pytest.raises(ValueError):
+        ExperimentConfig(povm="tetra", source=TRUTH, n_schedule=(50, 100),
+                         **bad)
+    config = ExperimentConfig.from_dict(base_config())
+    with pytest.raises(ValueError):
+        dataclasses.replace(config, **bad)
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +275,11 @@ def test_simulate_bad_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     bad = write_config(tmp_path, base_config(n_schedule=[]), "bad.json")
     assert main(["simulate", "--config", bad]) == 2
+    # a valid config made invalid by an override, through dataclasses.replace
+    out = tmp_path / "out"
+    good = write_config(tmp_path, base_config(output={"path": str(out)}))
+    assert main(["simulate", "--config", good, "--seed", "-1"]) == 2
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------------

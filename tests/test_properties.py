@@ -470,8 +470,8 @@ CONFIG_VALUES = {
     ("runs",): st.integers(-1, 2),
     ("estimators",): st.lists(st.sampled_from(
         ["li-xi", "li-moments", "ml", "mle"]), max_size=4),
-    # a falsy section reads as {}, the default budget
-    ("optimizer",): st.sampled_from([True, 1, -2, 0.5, math.nan, "x", [0]]),
+    ("optimizer",): st.sampled_from([True, 1, -2, 0.5, math.nan, "x", [0],
+                                     [], 0, "", False, None]),
     ("optimizer", "population"): st.one_of(st.integers(-1, 16),
                                            st.floats(3.5, 16.0)),
     ("optimizer", "sigma0"): st.floats(),

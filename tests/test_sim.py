@@ -150,19 +150,30 @@ def test_ml_fits_use_the_run_and_checkpoint_stream():
 
 
 def test_plausibility_attaches_to_requested_checkpoints():
-    cfg = _config(runs=1, estimators=["ml"],
-                  optimizer={"max_evaluations": 4000},
-                  plausibility={"enabled": True, "m": 30_000,
-                                "checkpoints": [120, 400]})
-    records = run_experiment(cfg)
-    by_n = {r.n_total: r.estimates[0] for r in records}
-    assert by_n[50].lambda_pl is None
-    for n in (120, 400):
-        est = by_n[n]
-        assert 0 < est.lambda_pl < 1
-        assert 0 <= est.size_pl <= 1
-        assert 0 < est.credibility_pl <= 1
-        assert est.truth_plausible in (True, False)
+    ml_alone = None
+    for estimators in (["ml"], ["li-moments", "ml", "li-xi"]):
+        cfg = _config(runs=1, estimators=estimators,
+                      optimizer={"max_evaluations": 4000},
+                      plausibility={"enabled": True, "m": 30_000,
+                                    "checkpoints": [120, 400]})
+        records = run_experiment(cfg)
+        for rec in records:
+            assert [e.estimator for e in rec.estimates] == estimators
+            for est in rec.estimates:
+                if est.estimator != "ml" or rec.n_total == 50:
+                    assert (est.lambda_pl, est.size_pl, est.credibility_pl,
+                            est.truth_plausible) == (None,) * 4
+        by_n = {r.n_total: r.estimates[estimators.index("ml")]
+                for r in records}
+        for n in (120, 400):
+            est = by_n[n]
+            assert 0 < est.lambda_pl < 1
+            assert 0 <= est.size_pl <= 1
+            assert 0 < est.credibility_pl <= 1
+            assert est.truth_plausible in (True, False)
+        # the LI estimators riding along leave the ML entries as they were
+        ml_alone = ml_alone or by_n
+        assert by_n == ml_alone
 
 
 def test_single_run_sweep_parallelism_is_invariant():
