@@ -156,6 +156,9 @@ class ExperimentConfig:
                              f"choose from {list(ESTIMATOR_NAMES)}")
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError("duplicate estimators")
+        if not isinstance(self.plausibility_enabled, bool):
+            raise ValueError("plausibility.enabled must be true or false, "
+                             f"got {self.plausibility_enabled!r}")
         if self.plausibility_enabled:
             if "ml" not in self.estimators:
                 raise ValueError("plausibility needs the 'ml' estimator "
@@ -174,6 +177,10 @@ class ExperimentConfig:
                                  "strictly increasing")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
+        if self.out_dir is not None and not (isinstance(self.out_dir, str)
+                                             and self.out_dir):
+            raise ValueError("output path must be a non-empty string, "
+                             f"got {self.out_dir!r}")
         if self.out_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.out_format!r}")
 
@@ -192,6 +199,10 @@ class ExperimentConfig:
             pl = _section(data, "plausibility",
                           ("enabled", "m", "checkpoints"))
             out = _section(data, "output", ("path", "format"))
+            checkpoints = pl.get("checkpoints", [])
+            if not isinstance(checkpoints, list):
+                raise ValueError("plausibility.checkpoints must be a list, "
+                                 f"got {checkpoints!r}")
             return cls(
                 povm=str(data["povm"]),
                 source=_parse_source(data["source"]),
@@ -203,12 +214,12 @@ class ExperimentConfig:
                 optimizer=OptimizerConfig(**{
                     k: _as_int(v, f"optimizer.{k}") if k in _OPTIMIZER_COUNTS
                     else v for k, v in opt.items()}),
-                plausibility_enabled=bool(pl.get("enabled", False)),
+                plausibility_enabled=pl.get("enabled", False),
                 plausibility_m=_as_int(pl.get("m", DEFAULT_M),
                                        "plausibility.m"),
                 plausibility_checkpoints=tuple(
                     _as_int(n, "plausibility checkpoint")
-                    for n in pl.get("checkpoints") or ()),
+                    for n in checkpoints),
                 master_seed=_as_int(data.get("master_seed", 0),
                                     "master_seed"),
                 out_dir=out.get("path"),

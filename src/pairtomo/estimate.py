@@ -9,7 +9,8 @@ Two estimator families operate on a vector of detection counts:
   projected out and the triplet part renormalized before recovery.  The
   counts are validated once, at the entry; the inverted and the
   singlet-removed states are built without re-running the state
-  constructor's checks, which hold by construction.
+  constructor's checks, and the null ket is taken without
+  `xi_from_triplet`'s Hermitian check: both hold by construction.
 
 * maximum likelihood (`ml_estimate`): minimize -log(L)/N over the
   five-parameter box (theta0, phi0, theta1, phi1, alpha) in
@@ -37,9 +38,9 @@ from .povm import get_povm
 from .qstate import (HALF_PI, ParamVector, SymmetricTwoQubitState,
                      moment_features, random_param_array, to_triplet_matrix,
                      wrap_phase)
-from .recon import (Decomposition, IllConditionedError, decompose_moments,
-                    eigh3, probabilities_given_states, states_from_xi,
-                    xi_from_triplet)
+from .recon import (Decomposition, IllConditionedError, _null_ket,
+                    decompose_moments, eigh3, probabilities_given_states,
+                    states_from_xi)
 
 _FOLD_REFLECT = (0, 2, 4)
 _FOLD_WRAP = (1, 3)
@@ -371,12 +372,15 @@ def remove_singlet(state, weight):
         raise IllConditionedError("counts carry no triplet component")
     scale = 1.0 / (1.0 - weight)
     # elementwise on a symmetric C: the result is symmetric as it stands
-    return SymmetricTwoQubitState._unchecked(
-        state.s * scale, (state.c + weight * np.eye(3)) * scale)
+    c = state.c.copy()
+    c.flat[::4] += weight
+    c *= scale
+    return SymmetricTwoQubitState._unchecked(state.s * scale, c)
 
 
 def _xi_decomposition(m3):
-    xi, _ = xi_from_triplet(m3)
+    # m3 comes from a state, so it is Hermitian by construction
+    xi, _ = _null_ket(m3)
     sa, sb, degenerate = states_from_xi(xi)
     if not degenerate:
         try:

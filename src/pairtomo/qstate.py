@@ -82,16 +82,17 @@ def canonical_phase(ket):
     """Fix the global phase of a complex vector deterministically.
 
     The component of largest magnitude (first such index on ties) is made
-    real and non-negative.  Returns a new array.
+    real and non-negative.  Returns a new list of Python complex numbers.
     """
-    ket = np.asarray(ket, dtype=complex)
-    k = int(np.argmax(np.abs(ket)))
-    pivot = ket[k]
-    mag = abs(pivot)
+    ket = [complex(c) for c in ket]
+    mags = [abs(c) for c in ket]
+    mag = max(mags)
     if mag == 0.0:
-        return ket.copy()
-    out = ket * (pivot.conjugate() / mag)
-    out[k] = abs(out[k])
+        return ket
+    k = mags.index(mag)
+    rot = ket[k].conjugate() / mag
+    out = [c * rot for c in ket]
+    out[k] = complex(mag)
     return out
 
 
@@ -292,7 +293,9 @@ class SymmetricTwoQubitState:
     @property
     def singlet_weight(self):
         """Weight on the antisymmetric (singlet) sector, (1 - tr C)/4."""
-        return (1.0 - float(np.trace(self.c))) / 4.0
+        c = self.c
+        # summed left to right, as np.trace does
+        return (1.0 - float(c[0, 0] + c[1, 1] + c[2, 2])) / 4.0
 
     def features(self):
         """Length-10 moment feature vector (see module docstring)."""
@@ -533,7 +536,9 @@ def from_triplet_matrix(m):
 def pair_ket_triplet(state):
     """Triplet-basis components of psi (x) psi for a PureQubit psi.
 
-    Returns (a0^2, a1^2, sqrt(2) a0 a1); always a unit vector.
+    Returns [a0^2, a1^2, sqrt(2) a0 a1] as Python complex numbers; always
+    a unit vector.
     """
-    a0, a1 = state.amplitudes
-    return np.array([a0 * a0, a1 * a1, _SQRT2 * a0 * a1])
+    a0 = math.cos(state.theta)
+    a1 = complex(math.cos(state.phi), math.sin(state.phi)) * math.sin(state.theta)
+    return [complex(a0 * a0), a1 * a1, _SQRT2 * a0 * a1]

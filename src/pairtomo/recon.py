@@ -30,7 +30,9 @@ Eigen-decompositions use LAPACK through numpy.linalg.eigh.  `eigh3` adds
 a deterministic phase per eigenvector (canonical_phase), and
 `xi_from_triplet` fixes the phase of the null ket the same way, so it does
 not depend on LAPACK's arbitrary phase; the real dyad of the moment route
-needs only a sign, fixed by taking g = s.e >= 0.
+needs only a sign, fixed by taking g = s.e >= 0.  Everything after the
+eigensolver works on Python floats and complex numbers: the vectors have
+three components, where a numpy call costs more than its arithmetic.
 """
 
 import cmath
@@ -40,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureQubit, canonical_phase, pair_ket_triplet
+from .qstate import (_POLE_TOL, PureQubit, canonical_phase, pair_ket_triplet,
+                     wrap_phase)
 
 
 class DegenerateInputError(ValueError):
@@ -61,6 +64,8 @@ class IllConditionedWarning(UserWarning):
 
 # eigenvalue gap below which an eigenvector is treated as ill-determined
 DEGENERACY_TOL = 1e-9
+
+_SQRT2 = math.sqrt(2.0)
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +107,7 @@ class TripletKet:
 
     def components(self):
         """Coordinates in the ordered triplet basis (|00>, |11>, chi)."""
-        return np.array([self.c00, self.c11, math.sqrt(2.0) * self.c01])
+        return np.array([self.c00, self.c11, _SQRT2 * self.c01])
 
 
 @dataclass(frozen=True)
@@ -145,24 +150,28 @@ def decompose_moments(state, tol=1e-8):
     eigenvalue (gap below DEGENERACY_TOL) leaves the difference direction
     arbitrary and issues an IllConditionedWarning.
     """
-    s = np.asarray(state.s, dtype=float)
-    s2 = float(s @ s)
-    dyad = state.c - np.outer(s, s)
-    if np.linalg.norm(dyad) <= tol or 1.0 <= s2 <= 1.0 + tol:
+    s_arr = np.asarray(state.s, dtype=float)
+    s = s_arr.tolist()
+    # numpy's dot, which may round differently from a Python sum: the
+    # s2 = 1 boundary is hit exactly by some tables
+    s2 = float(s_arr @ s_arr)
+    dyad = state.c - s_arr[:, None] * s_arr
+    flat = dyad.ravel()
+    if math.sqrt(flat @ flat) <= tol or 1.0 <= s2 <= 1.0 + tol:
         norm_s = math.sqrt(s2)
         if norm_s < 1e-12:
             raise DegenerateInputError("moments carry no state direction")
-        psi = PureQubit.from_bloch(s / norm_s)
+        psi = PureQubit.from_bloch([x / norm_s for x in s])
         return Decomposition(psi, psi, 1.0, 0.0, degenerate=True, method="moments")
     if s2 > 1.0:
         raise DegenerateInputError(f"|s|^2 = {s2} exceeds 1 beyond tolerance")
     w, v = np.linalg.eigh(dyad)
-    m_top = float(w[2])
-    e = v[:, 2]
-    g = float(s @ e)
+    _, w_mid, m_top = w.tolist()
+    e = v[:, 2].tolist()
+    g = _dot3(s, e)
     if g < 0.0:
         g = -g
-        e = -e
+        e = [-x for x in e]
     denom = m_top + g * g
     if denom <= 0.0:
         raise NonPhysicalMomentsError("moment dyad has no positive direction")
@@ -176,21 +185,26 @@ def decompose_moments(state, tol=1e-8):
     delta = math.sqrt(d2)
     p0 = 0.5 * (1.0 + delta)
     p1 = 1.0 - p0
-    sp = s - g * e
     half = math.sqrt(denom)
-    a = sp + half * e
-    b = sp - half * e
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    sp = [x - g * y for x, y in zip(s, e)]
+    a = [x + half * y for x, y in zip(sp, e)]
+    b = [x - half * y for x, y in zip(sp, e)]
+    na = math.sqrt(_dot3(a, a))
+    nb = math.sqrt(_dot3(b, b))
     if na < 1e-12 or nb < 1e-12:
         raise DegenerateInputError("recovered Bloch vector has no direction")
-    if w[2] - w[1] < DEGENERACY_TOL:
+    if m_top - w_mid < DEGENERACY_TOL:
         warnings.warn("top moment-dyad eigenvalues nearly degenerate; "
                       "difference direction is ill-determined",
                       IllConditionedWarning, stacklevel=2)
-    return Decomposition.ordered(PureQubit.from_bloch(a / na),
-                                 PureQubit.from_bloch(b / nb),
+    return Decomposition.ordered(PureQubit.from_bloch([x / na for x in a]),
+                                 PureQubit.from_bloch([x / nb for x in b]),
                                  p0, p1, method="moments", clamped=clamped)
+
+
+def _dot3(u, v):
+    """u . v of two 3-sequences of Python floats."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 # --------------------------------------------------------------------------
@@ -207,19 +221,36 @@ def xi_from_triplet(m, degeneracy_tol=DEGENERACY_TOL):
     m = np.asarray(m, dtype=complex)
     if m.shape != (3, 3) or np.max(np.abs(m - m.conj().T)) > 1e-12:
         raise ValueError("input must be a 3x3 Hermitian matrix")
+    return _null_ket(m, degeneracy_tol)
+
+
+def _null_ket(m, degeneracy_tol=DEGENERACY_TOL):
+    """`xi_from_triplet` of a complex 3x3 matrix that is Hermitian by
+    construction.  Warnings point at the caller's caller."""
     w, v = np.linalg.eigh(m)
-    if w[1] - w[0] < degeneracy_tol:
+    w0, w1, _ = w.tolist()
+    if w1 - w0 < degeneracy_tol:
         warnings.warn("smallest triplet eigenvalues nearly degenerate; "
                       "null ket is ill-determined", IllConditionedWarning,
-                      stacklevel=2)
-    u = canonical_phase(v[:, 0])
-    ket = TripletKet(u[0], u[2] / math.sqrt(2.0), u[1])
-    return ket, float(w[0])
+                      stacklevel=3)
+    u = canonical_phase(v[:, 0].tolist())
+    # divided as numpy divides, signed zeros included, so the ket equals
+    # the one built from an eigh3 column: at a tie, the sign of a zero
+    # orders the two roots in states_from_xi
+    return TripletKet(u[0], np.complex128(u[2]) / _SQRT2, u[1]), w0
 
 
 def _state_from_root(z):
-    """Preparation state for a root z = a0*/a1* of the null-ket quadratic."""
-    return PureQubit.from_amplitudes(z.conjugate(), 1.0)
+    """Preparation state for a root z = a0*/a1* of the null-ket quadratic.
+
+    This is `PureQubit.from_amplitudes(z*, 1)`, whose relative phase
+    arg 1 - arg z* is arg z: one phase, taken from z directly.
+    """
+    r = abs(z)
+    theta = math.atan2(1.0, r)
+    if r <= _POLE_TOL or 1.0 <= _POLE_TOL * r:
+        return PureQubit(theta, 0.0)
+    return PureQubit(theta, wrap_phase(math.atan2(z.imag, z.real)))
 
 
 def states_from_xi(xi, tol=1e-12):
@@ -250,26 +281,47 @@ def states_from_xi(xi, tol=1e-12):
             return sa, sb, True
         sa = _state_from_root(q / c00)
         sb = _state_from_root(c11 / q)
-    degenerate = sa.overlap(sb) >= 1.0 - 1e-12
+    degenerate = _overlap(sa, sb) >= 1.0 - 1e-12
     return sa, sb, degenerate
+
+
+def _overlap(sa, sb):
+    """`PureQubit.overlap` from scalar Bloch components.  The method keeps
+    numpy's dot, whose bits the result tables of the ML path carry."""
+    return 0.5 * (1.0 + _dot3(_bloch(sa), _bloch(sb)))
+
+
+def _bloch(state):
+    """`PureQubit.bloch` as a tuple of Python floats."""
+    s2 = math.sin(2 * state.theta)
+    return (s2 * math.cos(state.phi), s2 * math.sin(state.phi),
+            math.cos(2 * state.theta))
 
 
 def probabilities_given_states(m, state0, state1):
     """Least-squares probabilities for known states given a triplet matrix.
 
-    Fits m ~ p0 P0 + p1 P1 with p0 + p1 = 1, where Pj is the triplet
-    projector of psi_j (x) psi_j; the optimum is a one-dimensional linear
-    fit along P0 - P1.  Probabilities are clamped to [0, 1].
+    Fits m ~ p0 P0 + p1 P1 with p0 + p1 = 1, where Pj = |wj><wj| is the
+    triplet projector of psi_j (x) psi_j; the optimum is a one-dimensional
+    linear fit along P0 - P1.  With F = |<psi_0|psi_1>|^2, so that
+    tr(P0 P1) = F^2, it has the closed form
+
+        p0 = (<w0|m|w0> - <w1|m|w1> + 1 - F^2) / (2 (1 - F^2)).
+
+    Probabilities are clamped to [0, 1].
     """
-    if state0.overlap(state1) > 1.0 - 1e-10:
+    f = _overlap(state0, state1)
+    if f > 1.0 - 1e-10:
         raise IllConditionedError("states nearly identical; weights undetermined")
-    m = np.asarray(m, dtype=complex)
-    w0 = pair_ket_triplet(state0)
-    w1 = pair_ket_triplet(state1)
-    p_mat0 = np.outer(w0, w0.conj())
-    p_mat1 = np.outer(w1, w1.conj())
-    d = p_mat0 - p_mat1
-    num = float(np.real(np.sum(d.conj() * (m - p_mat1))))
-    den = float(np.real(np.sum(d.conj() * d)))
-    p0 = min(1.0, max(0.0, num / den))
+    m = np.asarray(m, dtype=complex).tolist()
+    den = 1.0 - f * f
+    num = (_expectation(m, pair_ket_triplet(state0))
+           - _expectation(m, pair_ket_triplet(state1)) + den)
+    p0 = min(1.0, max(0.0, num / (2.0 * den)))
     return p0, 1.0 - p0
+
+
+def _expectation(m, w):
+    """Re <w|m|w> for a 3x3 matrix m as nested lists and a 3-ket w."""
+    return sum((x.conjugate() * (r[0] * w[0] + r[1] * w[1] + r[2] * w[2])).real
+               for x, r in zip(w, m))

@@ -111,6 +111,20 @@ def test_source_forms_agree():
     {"optimizer": None},
     {"plausibility": 0},
     {"output": ""},
+    # enabled is a JSON boolean, checkpoints a list, the path a string
+    {"estimators": ["ml"], "plausibility": {"enabled": "false"}},
+    {"estimators": ["ml"], "plausibility": {"enabled": "no"}},
+    {"estimators": ["ml"], "plausibility": {"enabled": 1}},
+    {"estimators": ["ml"], "plausibility": {"enabled": True,
+                                            "checkpoints": None}},
+    {"estimators": ["ml"], "plausibility": {"enabled": True,
+                                            "checkpoints": 0}},
+    {"estimators": ["ml"], "plausibility": {"enabled": True,
+                                            "checkpoints": False}},
+    {"output": {"path": 5}},
+    {"output": {"path": True}},
+    {"output": {"path": ["a"]}},
+    {"output": {"path": ""}},
 ])
 def test_config_rejects(mutate):
     with pytest.raises(UsageError):
@@ -279,6 +293,7 @@ def test_simulate_bad_config_exits_2(tmp_path):
     out = tmp_path / "out"
     good = write_config(tmp_path, base_config(output={"path": str(out)}))
     assert main(["simulate", "--config", good, "--seed", "-1"]) == 2
+    assert main(["simulate", "--config", good, "--out", ""]) == 2
     assert not out.exists()
 
 

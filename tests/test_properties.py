@@ -20,22 +20,26 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pairtomo import (DegenerateInputError, EmptyDataError,
-                      IllConditionedError, NonPhysicalMomentsError,
-                      OptimizerConfig, ParamVector, PureQubit, SIC, TETRA,
-                      ensemble_state, get_povm, li_pipeline, ml_estimate,
-                      ml_estimates, plausible)
+from pairtomo import (Decomposition, DegenerateInputError, EmptyDataError,
+                      IllConditionedError, IllConditionedWarning,
+                      NonPhysicalMomentsError, OptimizerConfig, ParamVector,
+                      PureQubit, SIC, TETRA, ensemble_state, get_povm,
+                      li_pipeline, ml_estimate, ml_estimates, plausible)
 from pairtomo.cli import RESULT_COLUMNS, main, render_table
-from pairtomo.estimate import fold_params, log_likelihood
+from pairtomo.estimate import fold_params, log_likelihood, remove_singlet
 from pairtomo.plausible import (DegenerateSampleError, plausibility,
                                 plausibility_sweep)
 from pairtomo.qstate import (HALF_PI, TWO_PI, moment_features, prior_features,
-                             random_param_array, wrap_phase)
-from pairtomo.recon import eigh3
+                             random_param_array, to_triplet_matrix,
+                             wrap_phase)
+from pairtomo.recon import DEGENERACY_TOL, eigh3
 
 from test_estimate import reference_li_pipeline, reference_ml_estimate
 from test_plausible import (TRUTH, reference_chunk_stats, reference_report,
                             tetra_counts)
+from test_recon import (reference_decompose_moments, reference_null_ket,
+                        reference_probabilities_given_states,
+                        reference_states_from_xi)
 
 DOCUMENTED_LI_ERRORS = (NonPhysicalMomentsError, DegenerateInputError,
                         IllConditionedError, EmptyDataError)
@@ -199,6 +203,78 @@ def test_li_pipeline_matches_reference(table, method):
     povm, counts = table
     assert (_li_outcome(li_pipeline, counts, povm, method)
             == _li_outcome(reference_li_pipeline, counts, povm.name, method))
+
+
+def _numpy_recovery(counts, povm, method):
+    """li_pipeline with the recovery steps of the numpy oracles."""
+    counts = povm.validate_counts(counts)
+    tol = max(1e-8, 4.0 / math.sqrt(counts.sum()))
+    raw = povm.linear_inversion(counts)
+    state = remove_singlet(raw, raw.singlet_weight)
+    if method == "moments":
+        return reference_decompose_moments(state, tol)
+    m3 = to_triplet_matrix(state)
+    xi, w = reference_null_ket(m3)
+    if w[1] - w[0] < DEGENERACY_TOL:
+        warnings.warn("null ket is ill-determined", IllConditionedWarning)
+    sa, sb, degenerate = reference_states_from_xi(xi)
+    if not degenerate:
+        try:
+            p0, p1 = reference_probabilities_given_states(m3, sa, sb)
+        except IllConditionedError:
+            degenerate = True
+    if degenerate:
+        return Decomposition(sa, sb, 1.0, 0.0, degenerate=True, method="xi")
+    return Decomposition.ordered(sa, sb, p0, p1, method="xi")
+
+
+def _dyad_gap(counts, povm):
+    """Gap between the top two eigenvalues of the moment dyad C - s s^T."""
+    raw = povm.linear_inversion(counts)
+    state = remove_singlet(raw, raw.singlet_weight)
+    w = np.linalg.eigvalsh(state.c - np.outer(state.s, state.s))
+    return w[2] - w[1]
+
+
+# the scalar recovery rounds differently from the numpy one; its error is
+# below 4e-15 on well-separated states and grows with the conditioning
+_SCALAR_TOL = 2e-14
+
+
+@settings(max_examples=1000)
+@given(count_tables(), st.sampled_from(["xi", "moments"]))
+@example((SIC, np.array([0, 0, 446, 446, 446, 0, 669, 223, 446])), "xi")
+@example((TETRA, np.array([181, 181, 181, 0, 0, 0, 543, 0, 543, 543])),
+         "moments")
+@example((SIC, np.array([1, 1, 1, 0, 0, 0, 0, 0, 0])), "xi")
+@example((TETRA, np.array([0, 0, 0, 414, 0, 0, 0, 0, 0, 0])), "moments")
+@example((TETRA, np.array([0, 6, 0, 0, 0, 2, 0, 0, 2, 0])), "moments")
+def test_scalar_recovery_matches_numpy_reference(table, method):
+    # same errors, flags and warnings as the numpy recovery; states and p0
+    # within _SCALAR_TOL scaled by 1/(1 - F) (F the overlap of the two
+    # states) on the null-ket route, by 1/(eigen-gap of the dyad) on the
+    # moment route
+    povm, counts = table
+    got, got_warnings = _li_outcome(li_pipeline, counts, povm, method)
+    want, want_warnings = _li_outcome(_numpy_recovery, counts, povm, method)
+    assert got_warnings == want_warnings
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and got[0] is want[0]
+        return
+    assert (got.degenerate, got.clamped, got.method) == (
+        want.degenerate, want.clamped, want.method)
+    if method == "xi":
+        scale = 1.0 / (1.0 - min(want.state0.overlap(want.state1),
+                                 1.0 - 1e-15))
+    else:
+        scale = 1.0 / min(1.0, max(_dyad_gap(counts, povm), 1e-15))
+    # p0 = p1 within rounding may order the states either way
+    err = min(max(np.max(np.abs(got.state0.bloch - x0.bloch)),
+                  np.max(np.abs(got.state1.bloch - x1.bloch)),
+                  abs(got.p0 - p))
+              for x0, x1, p in ((want.state0, want.state1, want.p0),
+                                (want.state1, want.state0, want.p1)))
+    assert err <= _SCALAR_TOL * scale
 
 
 @given(count_tables(min_total=1))
@@ -481,14 +557,21 @@ CONFIG_VALUES = {
     ("optimizer", "restarts"): st.one_of(st.integers(-1, 2),
                                          st.floats(0.0, 2.5)),
     ("plausibility",): odd_json,
-    ("plausibility", "enabled"): st.booleans(),
+    ("plausibility", "enabled"): st.one_of(
+        st.booleans(), st.sampled_from(["false", "no", "true", 0, 1, None])),
     ("plausibility", "m"): st.one_of(st.integers(-1, 1000),
                                      st.floats(0.0, 1000.0)),
-    ("plausibility", "checkpoints"): st.lists(
-        st.sampled_from([100, 200, 500, 1000, 7, 150.0]), max_size=3),
+    ("plausibility", "checkpoints"): st.one_of(
+        st.lists(st.sampled_from([100, 200, 500, 1000, 7, 150.0]),
+                 max_size=3),
+        st.sampled_from([None, 0, False, 100, "100", {}])),
     ("master_seed",): st.one_of(st.integers(-1, 2 ** 70), st.floats()),
     ("output",): odd_json,
     ("output", "format"): st.sampled_from(["csv", "json", "xml"]),
+    # a drawn string is replaced by the test's own directory
+    ("output", "path"): st.one_of(st.text(max_size=4), st.integers(-2, 5),
+                                  st.booleans(), st.none(),
+                                  st.lists(st.text(max_size=2), max_size=2)),
 }
 # fields whose default budget (20000 evaluations, 5 restarts, 1e7 prior
 # samples) would make one example take minutes: never dropped
@@ -543,7 +626,8 @@ def test_simulate_exits_0_2_or_documented_1(tmp_path_factory, cfg):
     # any config near the README example runs, is refused as a usage
     # error, or fails with a documented runtime error
     out = tmp_path_factory.mktemp("cfg")
-    if isinstance(cfg.get("output"), dict):
+    if (isinstance(cfg.get("output"), dict)
+            and isinstance(cfg["output"].get("path", ""), str)):
         cfg["output"]["path"] = str(out)
     path = out / "config.json"
     path.write_text(json.dumps(cfg))

@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from pairtomo import (Decomposition, DegenerateInputError, IllConditionedError,
                       TripletKet, decompose_moments, ensemble_state,
                       li_pipeline, states_from_xi, xi_from_triplet)
 from pairtomo.qstate import to_triplet_matrix
-from pairtomo.recon import eigh3, probabilities_given_states
+from pairtomo.recon import (DEGENERACY_TOL, eigh3,
+                            probabilities_given_states)
 
 from conftest import oracle_triplet
 
@@ -232,3 +235,124 @@ def test_both_routes_agree(param_draws):
         assert dec_m.state0.overlap(dec_x.state0) > 1 - 1e-9
         assert dec_m.state1.overlap(dec_x.state1) > 1 - 1e-9
         assert abs(dec_m.p0 - dec_x.p0) < 1e-9
+
+
+# --------------------------------------------------------------------------
+# numpy oracles for the recovery steps: the code of the pre-scalar
+# implementation, kept to pin the rewrite within its rounding tolerance
+
+def reference_canonical_phase(ket):
+    ket = np.asarray(ket, dtype=complex)
+    k = int(np.argmax(np.abs(ket)))
+    pivot = ket[k]
+    mag = abs(pivot)
+    if mag == 0.0:
+        return ket.copy()
+    out = ket * (pivot.conjugate() / mag)
+    out[k] = abs(out[k])
+    return out
+
+
+def reference_null_ket(m):
+    """xi_from_triplet with reference_canonical_phase, without the warning."""
+    w, v = np.linalg.eigh(np.asarray(m, dtype=complex))
+    u = reference_canonical_phase(v[:, 0])
+    return TripletKet(u[0], u[2] / math.sqrt(2.0), u[1]), w
+
+
+def _reference_state_from_root(z):
+    return PureQubit.from_amplitudes(z.conjugate(), 1.0)
+
+
+def reference_states_from_xi(xi, tol=1e-12):
+    c00 = xi.c00
+    c01 = xi.c01
+    c11 = xi.c11
+    if abs(c00) <= tol:
+        if abs(c01) <= tol:
+            sa = sb = PureQubit(0.0, 0.0)
+            return sa, sb, True
+        sa = _reference_state_from_root(-c11 / (2.0 * c01))
+        sb = PureQubit(0.0, 0.0)
+    else:
+        sq = cmath.sqrt(c01 * c01 - c00 * c11)
+        if (c01.conjugate() * sq).real < 0.0:
+            sq = -sq
+        q = -(c01 + sq)
+        if abs(q) <= tol:
+            sa = sb = _reference_state_from_root(0j)
+            return sa, sb, True
+        sa = _reference_state_from_root(q / c00)
+        sb = _reference_state_from_root(c11 / q)
+    degenerate = sa.overlap(sb) >= 1.0 - 1e-12
+    return sa, sb, degenerate
+
+
+def _reference_pair_ket(state):
+    a0, a1 = state.amplitudes
+    return np.array([a0 * a0, a1 * a1, math.sqrt(2.0) * a0 * a1])
+
+
+def reference_probabilities_given_states(m, state0, state1):
+    if state0.overlap(state1) > 1.0 - 1e-10:
+        raise IllConditionedError("states nearly identical; weights undetermined")
+    m = np.asarray(m, dtype=complex)
+    w0 = _reference_pair_ket(state0)
+    w1 = _reference_pair_ket(state1)
+    p_mat0 = np.outer(w0, w0.conj())
+    p_mat1 = np.outer(w1, w1.conj())
+    d = p_mat0 - p_mat1
+    num = float(np.real(np.sum(d.conj() * (m - p_mat1))))
+    den = float(np.real(np.sum(d.conj() * d)))
+    p0 = min(1.0, max(0.0, num / den))
+    return p0, 1.0 - p0
+
+
+def reference_decompose_moments(state, tol=1e-8):
+    s = np.asarray(state.s, dtype=float)
+    s2 = float(s @ s)
+    dyad = state.c - np.outer(s, s)
+    if np.linalg.norm(dyad) <= tol or 1.0 <= s2 <= 1.0 + tol:
+        norm_s = math.sqrt(s2)
+        if norm_s < 1e-12:
+            raise DegenerateInputError("moments carry no state direction")
+        psi = PureQubit.from_bloch(s / norm_s)
+        return Decomposition(psi, psi, 1.0, 0.0, degenerate=True, method="moments")
+    if s2 > 1.0:
+        raise DegenerateInputError(f"|s|^2 = {s2} exceeds 1 beyond tolerance")
+    w, v = np.linalg.eigh(dyad)
+    m_top = float(w[2])
+    e = v[:, 2]
+    g = float(s @ e)
+    if g < 0.0:
+        g = -g
+        e = -e
+    denom = m_top + g * g
+    if denom <= 0.0:
+        raise NonPhysicalMomentsError("moment dyad has no positive direction")
+    d2 = g * g / denom
+    clamped = False
+    if d2 > 1.0 + tol:
+        raise NonPhysicalMomentsError(f"(p0-p1)^2 = {d2} exceeds 1 beyond tolerance")
+    if d2 > 1.0:
+        d2 = 1.0
+        clamped = True
+    delta = math.sqrt(d2)
+    p0 = 0.5 * (1.0 + delta)
+    p1 = 1.0 - p0
+    sp = s - g * e
+    half = math.sqrt(denom)
+    a = sp + half * e
+    b = sp - half * e
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < 1e-12 or nb < 1e-12:
+        raise DegenerateInputError("recovered Bloch vector has no direction")
+    if w[2] - w[1] < DEGENERACY_TOL:
+        warnings.warn("top moment-dyad eigenvalues nearly degenerate; "
+                      "difference direction is ill-determined",
+                      IllConditionedWarning, stacklevel=2)
+    return Decomposition.ordered(PureQubit.from_bloch(a / na),
+                                 PureQubit.from_bloch(b / nb),
+                                 p0, p1, method="moments", clamped=clamped)
+
