@@ -65,42 +65,57 @@ class UsageError(Exception):
 
 
 def _as_int(value, name):
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 
-def _parse_source(node):
-    if not isinstance(node, dict):
-        raise ValueError("source must be an object")
-    if "theta" in node:
-        theta = [float(v) for v in node["theta"]]
-        if len(theta) != 5:
-            raise ValueError("source.theta needs 5 angles "
-                             "(theta0, phi0, theta1, phi1, alpha)")
+def _as_float(value, name):
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _as_list(value, name):
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _as_floats(value, name, n):
+    if not (isinstance(value, list) and len(value) == n):
+        raise ValueError(f"{name} must be {n} numbers, got {value!r}")
+    return [_as_float(v, name) for v in value]
+
+
+def _parse_source(data):
+    """The source section: either {"theta": [five angles]} or {"a_bloch":
+    [3], "b_bloch": [3], "p0": p0}, and no other field."""
+    node = data["source"]
+    form = (("theta",) if isinstance(node, dict) and "theta" in node
+            else ("a_bloch", "b_bloch", "p0"))
+    node = _section(data, "source", form)
+    if set(node) != set(form):
+        raise ValueError("source needs 'theta' or 'a_bloch', 'b_bloch', 'p0'")
+    if form == ("theta",):
+        theta = _as_floats(node["theta"], "source.theta", 5)
         try:
             return ParamVector.from_array(theta)
         except ValueError:
             # out-of-box angles describe the same source; canonicalize
             return ParamVector.from_any_angles(*theta)
-    if {"a_bloch", "b_bloch", "p0"} <= node.keys():
-        states = []
-        for key in ("a_bloch", "b_bloch"):
-            v = [float(c) for c in node[key]]
-            if len(v) != 3:
-                raise ValueError(f"source.{key} must have 3 components")
-            norm = math.sqrt(sum(c * c for c in v))
-            if abs(norm - 1.0) > 1e-6:
-                raise ValueError(f"source.{key} has norm {norm}, expected 1")
-            states.append(PureQubit.from_bloch(v))
-        return ParamVector.from_states(states[0], states[1], float(node["p0"]))
-    raise ValueError("source needs either 'theta' or 'a_bloch'/'b_bloch'/'p0'")
+    states = []
+    for key in ("a_bloch", "b_bloch"):
+        v = _as_floats(node[key], f"source.{key}", 3)
+        norm = math.sqrt(sum(c * c for c in v))
+        if abs(norm - 1.0) > 1e-6:
+            raise ValueError(f"source.{key} has norm {norm}, expected 1")
+        states.append(PureQubit.from_bloch(v))
+    return ParamVector.from_states(states[0], states[1],
+                                   _as_float(node["p0"], "source.p0"))
 
 
 def _section(data, name, fields):
@@ -199,27 +214,25 @@ class ExperimentConfig:
             pl = _section(data, "plausibility",
                           ("enabled", "m", "checkpoints"))
             out = _section(data, "output", ("path", "format"))
-            checkpoints = pl.get("checkpoints", [])
-            if not isinstance(checkpoints, list):
-                raise ValueError("plausibility.checkpoints must be a list, "
-                                 f"got {checkpoints!r}")
             return cls(
                 povm=str(data["povm"]),
-                source=_parse_source(data["source"]),
-                n_schedule=tuple(_as_int(n, "n_schedule entry")
-                                 for n in data["n_schedule"]),
+                source=_parse_source(data),
+                n_schedule=tuple(_as_int(n, "n_schedule entry") for n in
+                                 _as_list(data["n_schedule"], "n_schedule")),
                 runs=_as_int(data.get("runs", 1), "runs"),
-                estimators=tuple(str(e) for e in
-                                 data.get("estimators", ("li-xi", "ml"))),
+                estimators=tuple(str(e) for e in _as_list(
+                    data.get("estimators", ["li-xi", "ml"]), "estimators")),
                 optimizer=OptimizerConfig(**{
                     k: _as_int(v, f"optimizer.{k}") if k in _OPTIMIZER_COUNTS
-                    else v for k, v in opt.items()}),
+                    else _as_float(v, f"optimizer.{k}")
+                    for k, v in opt.items()}),
                 plausibility_enabled=pl.get("enabled", False),
                 plausibility_m=_as_int(pl.get("m", DEFAULT_M),
                                        "plausibility.m"),
                 plausibility_checkpoints=tuple(
                     _as_int(n, "plausibility checkpoint")
-                    for n in checkpoints),
+                    for n in _as_list(pl.get("checkpoints", []),
+                                      "plausibility.checkpoints")),
                 master_seed=_as_int(data.get("master_seed", 0),
                                     "master_seed"),
                 out_dir=out.get("path"),
@@ -455,7 +468,10 @@ def _load_config(args):
 
 
 def _threads(args):
-    return args.threads if args.threads else (os.cpu_count() or 1)
+    """--threads, default 0: all cores; never negative."""
+    if args.threads is not None and args.threads < 0:
+        raise UsageError(f"--threads must be non-negative, got {args.threads}")
+    return args.threads or os.cpu_count() or 1
 
 
 def _seed(args):
@@ -548,14 +564,14 @@ def cmd_plausible(args):
     povm = get_povm(args.povm)
     counts = read_counts(args.counts, povm)
     seed = _seed(args)
+    workers = _threads(args)
     log = _log(args)
     opt = OptimizerConfig(seed=seed_sequence(seed, STREAM_OPTIMIZER, 0, 0))
     ml = ml_estimate(counts, povm, opt)
     if log:
         log(f"theta_ML = {ml.params.to_array().tolist()}")
     rep = plausibility(counts, povm, ml.params, args.m,
-                       seed_sequence(seed, STREAM_PRIOR, 0),
-                       workers=_threads(args))
+                       seed_sequence(seed, STREAM_PRIOR, 0), workers=workers)
     asym = asymptotics(rep.n_total, rep.lambda_pl, size=rep.size_pl,
                        credibility=rep.credibility_pl)
     report = {
@@ -753,8 +769,8 @@ def _add_common(sub, out=True):
         sub.add_argument("--format", choices=("csv", "json"),
                          help="output format")
     sub.add_argument("--threads", type=int, metavar="K",
-                     help="worker count (default: all cores); results do "
-                          "not depend on it")
+                     help="worker count (default or 0: all cores); results "
+                          "do not depend on it")
     sub.add_argument("--seed", type=int, metavar="U64",
                      help="master seed (overrides the config for simulate)")
     sub.add_argument("--verbose", action="store_true",

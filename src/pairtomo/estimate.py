@@ -7,10 +7,10 @@ Two estimator families operate on a vector of detection counts:
   routes from `recon`.  Unbiased but the intermediate state need not be
   physical; its singlet admixture (nonzero only for tetrahedron data) is
   projected out and the triplet part renormalized before recovery.  The
-  counts are validated once, at the entry; the inverted and the
-  singlet-removed states are built without re-running the state
-  constructor's checks, and the null ket is taken without
-  `xi_from_triplet`'s Hermitian check: both hold by construction.
+  counts are validated once, at the entry.  From the dual product to the
+  recovery step the state stays one 10-entry feature vector: the singlet
+  is removed in feature space, and the null ket is taken without
+  `xi_from_triplet`'s Hermitian check, which holds by construction.
 
 * maximum likelihood (`ml_estimate`): minimize -log(L)/N over the
   five-parameter box (theta0, phi0, theta1, phi1, alpha) in
@@ -36,8 +36,8 @@ import numpy as np
 
 from .povm import get_povm
 from .qstate import (HALF_PI, ParamVector, SymmetricTwoQubitState,
-                     moment_features, random_param_array, to_triplet_matrix,
-                     wrap_phase)
+                     moment_features, random_param_array,
+                     triplet_from_features, wrap_phase)
 from .recon import (Decomposition, IllConditionedError, _null_ket,
                     decompose_moments, eigh3, probabilities_given_states,
                     states_from_xi)
@@ -361,25 +361,8 @@ def ml_decomposition(est):
 # --------------------------------------------------------------------------
 # Linear-inversion pipelines
 
-def remove_singlet(state, weight):
-    """Project out a singlet admixture of the given weight and renormalize.
-
-    The singlet has s = 0 and C = -1, so the triplet part of a mixture
-    rho = (1-w) rho_t + w rho_sg has s_t = s/(1-w), C_t = (C + w)/(1-w);
-    the result has unit trace(C) whenever weight matches (1 - tr C)/4.
-    """
-    if weight >= 1.0 - 1e-9:
-        raise IllConditionedError("counts carry no triplet component")
-    scale = 1.0 / (1.0 - weight)
-    # elementwise on a symmetric C: the result is symmetric as it stands
-    c = state.c.copy()
-    c.flat[::4] += weight
-    c *= scale
-    return SymmetricTwoQubitState._unchecked(state.s * scale, c)
-
-
 def _xi_decomposition(m3):
-    # m3 comes from a state, so it is Hermitian by construction
+    # m3 comes from real moment features, so it is Hermitian by construction
     xi, _ = _null_ket(m3)
     sa, sb, degenerate = states_from_xi(xi)
     if not degenerate:
@@ -407,11 +390,19 @@ def li_pipeline(counts, povm, method="xi"):
     counts = povm.validate_counts(counts)
     total = counts.sum()
     tol = max(1e-8, 4.0 / math.sqrt(total))
-    raw = povm._invert(counts, total)
-    state = remove_singlet(raw, raw.singlet_weight)
+    f = povm.dual_matrix @ (counts / total)
+    # Project out the singlet (s = 0, C = -1) and renormalize: a mixture
+    # (1-w) rho_t + w rho_sg has s_t = s/(1-w) and C_t = (C + w)/(1-w),
+    # where w = (1 - tr C)/4, summed left to right as np.trace does.
+    w = (1.0 - float(f[4] + f[5] + f[6])) / 4.0
+    if w >= 1.0 - 1e-9:
+        raise IllConditionedError("counts carry no triplet component")
+    f[0] = 1.0  # the dual's first row gives 1 only up to rounding
+    f[4:7] += w
+    f[1:] *= 1.0 / (1.0 - w)
     if method == "moments":
-        return decompose_moments(state, tol)
-    return _xi_decomposition(to_triplet_matrix(state))
+        return decompose_moments(SymmetricTwoQubitState.from_features(f), tol)
+    return _xi_decomposition(triplet_from_features(f))
 
 
 # --------------------------------------------------------------------------

@@ -108,12 +108,8 @@ class LinearPovm:
         SymmetricTwoQubitState.is_physical.
         """
         counts = self.validate_counts(counts)
-        return self._invert(counts, counts.sum())
-
-    def _invert(self, counts, total):
-        """`linear_inversion` of counts that `validate_counts` accepted."""
         return SymmetricTwoQubitState.from_features(
-            self.dual_matrix @ (counts / total))
+            self.dual_matrix @ (counts / counts.sum()))
 
 
 class SicPovm(LinearPovm):

@@ -277,12 +277,8 @@ class SymmetricTwoQubitState:
         f = np.asarray(features, dtype=float)
         if f.shape != (10,):
             raise ValueError(f"features shape {f.shape} is not (10,)")
-        return cls._unchecked(f[1:4].copy(), f[_C_OF_FEATURES].reshape(3, 3))
-
-    @classmethod
-    def _unchecked(cls, s, c):
-        """The state of new float arrays s, shape (3,), and c, shape (3, 3)
-        and exactly symmetric, taken as they are and made read-only."""
+        s = f[1:4].copy()
+        c = f[_C_OF_FEATURES].reshape(3, 3)
         state = object.__new__(cls)
         s.setflags(write=False)
         c.setflags(write=False)

@@ -125,6 +125,23 @@ def test_source_forms_agree():
     {"output": {"path": True}},
     {"output": {"path": ["a"]}},
     {"output": {"path": ""}},
+    # a source has one form and no other field, with JSON numbers
+    {"source": {"theta": "01010"}},
+    {"source": {"a_bloch": "100", "b_bloch": [0, 0, 1], "p0": 0.5}},
+    {"source": {"theta": [0.6, 1.0, 1.2, 4.0, 0.9], "p0": 0.3}},
+    {"source": {"theta": [0.6, 1.0, 1.2, 4.0, 0.9], "foo": 1}},
+    {"source": {"a_bloch": [1, 0, 0], "b_bloch": [0, 0, 1], "p0": 0.5,
+                "foo": 1}},
+    {"source": {"a_bloch": [1, 0, 0], "b_bloch": [0, 0, 1]}},
+    {"source": {"theta": [True, 1.0, 1.2, 4.0, 0.9]}},
+    {"source": {"theta": [0.6, 1.0, 1.2, 4.0, 10 ** 400]}},
+    {"source": {"a_bloch": [1, 0, 0], "b_bloch": [0, 0, 1], "p0": True}},
+    {"source": {"a_bloch": [1, 0, 0], "b_bloch": [0, 0, 1], "p0": "0.5"}},
+    {"optimizer": {"sigma0": True}},
+    {"optimizer": {"tol": "1e-9"}},
+    # n_schedule and estimators are lists
+    {"n_schedule": "100"},
+    {"estimators": "ml"},
 ])
 def test_config_rejects(mutate):
     with pytest.raises(UsageError):
@@ -294,6 +311,7 @@ def test_simulate_bad_config_exits_2(tmp_path):
     good = write_config(tmp_path, base_config(output={"path": str(out)}))
     assert main(["simulate", "--config", good, "--seed", "-1"]) == 2
     assert main(["simulate", "--config", good, "--out", ""]) == 2
+    assert main(["simulate", "--config", good, "--threads", "-3"]) == 2
     assert not out.exists()
 
 
@@ -390,6 +408,8 @@ def test_plausible_bad_arguments_exit_2(tmp_path):
     assert main(["plausible", path, "--povm", "tetra", "--m", "0"]) == 2
     assert main(["plausible", path, "--povm", "tetra", "--m", "100",
                  "--seed", "-1"]) == 2
+    assert main(["plausible", path, "--povm", "tetra", "--m", "100",
+                 "--threads", "-1"]) == 2
 
 
 def test_plausible_degenerate_sample_exits_1(tmp_path):

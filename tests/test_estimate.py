@@ -10,12 +10,10 @@ from pairtomo import (EmptyDataError, OptimizerConfig, ParamVector, li_pipeline,
                       ml_estimate, ml_estimates, moment_features)
 from pairtomo.estimate import (DiagnosticsReport, MlEstimate, _batch_objective,
                                fold_params, li_diagnostics, log_likelihood,
-                               match_and_score, ml_decomposition,
-                               remove_singlet)
+                               match_and_score, ml_decomposition)
 from pairtomo.povm import get_povm
 from pairtomo.qstate import (FEATURE_TRIPLETS, HALF_PI, TWO_PI,
-                             SymmetricTwoQubitState, ensemble_state,
-                             random_param_array, to_triplet_matrix)
+                             SymmetricTwoQubitState, random_param_array)
 from pairtomo.recon import (DEGENERACY_TOL, Decomposition,
                             IllConditionedError, IllConditionedWarning,
                             TripletKet, decompose_moments, eigh3,
@@ -345,6 +343,22 @@ def _reference_counts(counts, povm):
     return counts
 
 
+def reference_triplet_state(counts, povm):
+    """The linear-inversion state of checked counts with its singlet
+    admixture projected out, built through the checking constructor."""
+    counts = _reference_counts(counts, povm)
+    f = povm.dual_matrix @ (counts / counts.sum())
+    raw = SymmetricTwoQubitState(f[1:4], np.array([[f[4], f[7], f[8]],
+                                                   [f[7], f[5], f[9]],
+                                                   [f[8], f[9], f[6]]]))
+    weight = raw.singlet_weight
+    if weight >= 1.0 - 1e-9:
+        raise IllConditionedError("counts carry no triplet component")
+    scale = 1.0 / (1.0 - weight)
+    return SymmetricTwoQubitState(raw.s * scale,
+                                  (raw.c + weight * np.eye(3)) * scale)
+
+
 def reference_li_pipeline(counts, povm_name, method):
     """Oracle for li_pipeline: the same arithmetic with a check at every
     step.  The counts are checked at the entry and again before
@@ -356,17 +370,7 @@ def reference_li_pipeline(counts, povm_name, method):
         raise ValueError(f"unknown method {method!r}")
     counts = _reference_counts(counts, povm)
     tol = max(1e-8, 4.0 / math.sqrt(counts.sum()))
-    counts = _reference_counts(counts, povm)
-    f = povm.dual_matrix @ (counts / counts.sum())
-    raw = SymmetricTwoQubitState(f[1:4], np.array([[f[4], f[7], f[8]],
-                                                   [f[7], f[5], f[9]],
-                                                   [f[8], f[9], f[6]]]))
-    weight = raw.singlet_weight
-    if weight >= 1.0 - 1e-9:
-        raise IllConditionedError("counts carry no triplet component")
-    scale = 1.0 / (1.0 - weight)
-    state = SymmetricTwoQubitState(raw.s * scale,
-                                   (raw.c + weight * np.eye(3)) * scale)
+    state = reference_triplet_state(counts, povm)
     if method == "moments":
         return decompose_moments(state, tol)
     m3 = np.tensordot(state.features(), FEATURE_TRIPLETS, axes=([-1], [0]))
@@ -396,19 +400,19 @@ def test_li_input_validation():
         li_pipeline(np.ones(9), "sic", method="newton")
 
 
-def test_remove_singlet():
+def test_li_pipeline_projects_out_the_singlet():
     truth = SOURCES[3]
-    clean = ensemble_state(truth)
-    w = 0.4
-    mixed = SymmetricTwoQubitState((1 - w) * clean.s,
-                                   (1 - w) * clean.c - w * np.eye(3))
-    out = remove_singlet(mixed, w)
-    np.testing.assert_allclose(out.s, clean.s, atol=1e-14)
-    np.testing.assert_allclose(out.c, clean.c, atol=1e-14)
-    assert abs(np.trace(out.c) - 1) < 1e-12
-    assert (out.c == out.c.T).all() and not out.c.flags.writeable
-    with pytest.raises(IllConditionedError):
-        remove_singlet(mixed, 1.0 - 1e-12)
+    singlet = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1]) / 6.0
+    counts = (0.6 * oracle_probs(truth.to_array(), "tetra")
+              + 0.4 * singlet) * 1e7
+    for method in ("xi", "moments"):
+        e0, e1, perr = match_and_score(
+            truth, li_pipeline(counts, "tetra", method))
+        assert e0 + e1 < 1e-3
+        assert perr < 1e-9
+        # the singlet alone leaves no triplet part to renormalize
+        with pytest.raises(IllConditionedError):
+            li_pipeline([0] * 4 + [1] * 6, "tetra", method)
 
 
 # --------------------------------------------------------------------------

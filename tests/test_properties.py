@@ -26,7 +26,7 @@ from pairtomo import (Decomposition, DegenerateInputError, EmptyDataError,
                       PureQubit, SIC, TETRA, ensemble_state, get_povm,
                       li_pipeline, ml_estimate, ml_estimates, plausible)
 from pairtomo.cli import RESULT_COLUMNS, main, render_table
-from pairtomo.estimate import fold_params, log_likelihood, remove_singlet
+from pairtomo.estimate import fold_params, log_likelihood
 from pairtomo.plausible import (DegenerateSampleError, plausibility,
                                 plausibility_sweep)
 from pairtomo.qstate import (HALF_PI, TWO_PI, moment_features, prior_features,
@@ -34,7 +34,8 @@ from pairtomo.qstate import (HALF_PI, TWO_PI, moment_features, prior_features,
                              wrap_phase)
 from pairtomo.recon import DEGENERACY_TOL, eigh3
 
-from test_estimate import reference_li_pipeline, reference_ml_estimate
+from test_estimate import (reference_li_pipeline, reference_ml_estimate,
+                           reference_triplet_state)
 from test_plausible import (TRUTH, reference_chunk_stats, reference_report,
                             tetra_counts)
 from test_recon import (reference_decompose_moments, reference_null_ket,
@@ -209,8 +210,7 @@ def _numpy_recovery(counts, povm, method):
     """li_pipeline with the recovery steps of the numpy oracles."""
     counts = povm.validate_counts(counts)
     tol = max(1e-8, 4.0 / math.sqrt(counts.sum()))
-    raw = povm.linear_inversion(counts)
-    state = remove_singlet(raw, raw.singlet_weight)
+    state = reference_triplet_state(counts, povm)
     if method == "moments":
         return reference_decompose_moments(state, tol)
     m3 = to_triplet_matrix(state)
@@ -230,8 +230,7 @@ def _numpy_recovery(counts, povm, method):
 
 def _dyad_gap(counts, povm):
     """Gap between the top two eigenvalues of the moment dyad C - s s^T."""
-    raw = povm.linear_inversion(counts)
-    state = remove_singlet(raw, raw.singlet_weight)
+    state = reference_triplet_state(counts, povm)
     w = np.linalg.eigvalsh(state.c - np.outer(state.s, state.s))
     return w[2] - w[1]
 
