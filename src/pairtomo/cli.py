@@ -533,6 +533,7 @@ def cmd_estimate(args):
     counts = read_counts(args.counts, povm)
     names = args.estimator or ["li-xi"]
     seed = _seed(args)
+    _threads(args)  # checked only: estimate runs in one process
     # Python ints: an int64 sum wraps for totals beyond 2^63 - 1
     report = {"povm": povm.name, "n_total": sum(int(c) for c in counts),
               "estimates": []}
@@ -762,17 +763,18 @@ def cmd_selftest(args):
 # --------------------------------------------------------------------------
 # Entry point
 
-def _add_common(sub, out=True):
-    if out:
-        sub.add_argument("--out", metavar="DIR",
-                         help="output directory (default: stdout)")
-        sub.add_argument("--format", choices=("csv", "json"),
-                         help="output format")
-    sub.add_argument("--threads", type=int, metavar="K",
-                     help="worker count (default or 0: all cores); results "
-                          "do not depend on it")
-    sub.add_argument("--seed", type=int, metavar="U64",
-                     help="master seed (overrides the config for simulate)")
+def _add_common(sub, seeded=True):
+    # seeded=False: the command draws nothing, so it takes no seed or threads
+    sub.add_argument("--out", metavar="DIR",
+                     help="output directory (default: stdout)")
+    sub.add_argument("--format", choices=("csv", "json"),
+                     help="output format")
+    if seeded:
+        sub.add_argument("--threads", type=int, metavar="K",
+                         help="plausibility sweep processes (default or 0: "
+                              "all cores); results do not depend on it")
+        sub.add_argument("--seed", type=int, metavar="U64",
+                         help="master seed (overrides the config for simulate)")
     sub.add_argument("--verbose", action="store_true",
                      help="progress messages on stderr")
 
@@ -813,7 +815,7 @@ def build_parser():
                        help="large-N rescaled series from a result table")
     p.add_argument("results", metavar="RESULTS_FILE",
                    help="results.csv or results.json from simulate")
-    _add_common(p)
+    _add_common(p, seeded=False)
     p.set_defaults(func=cmd_asymptotics)
 
     p = sub.add_parser("selftest", help="run the analytic invariant suite")
@@ -826,6 +828,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":
+            raise UsageError("--out must be a non-empty path")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,23 +10,21 @@ generator seeded through numpy SeedSequence spawn keys
 where the stream id leads: 0 = counts, 1 = optimizer, 2 = prior.  A
 run's streams are therefore fixed by (master_seed, run index) alone,
 never by scheduling, so any worker count reproduces identical results;
-see GENERATOR_ID for the algorithm tag recorded in run records.
+see GENERATOR_ID for the algorithm tag recorded in manifest.json.
 
 Counts along an n_schedule are cumulative: each checkpoint extends the
 previous counts with a multinomial increment from the run's stream, so
 checkpoint N is a genuine prefix of the same simulated experiment.
 
-The ML fits of a run's checkpoints advance together in one lockstep call
-once all counts are drawn; each fit equals fitting its table alone on
-its own optimizer stream, bit for bit.  The plausibility sweep follows
-the fits, and each record is built once, after the sweep, with its
-estimates in the config's order.  Nothing is timed.
+The ML fits of every run's checkpoints advance together in one lockstep
+call once all counts are drawn; each fit equals fitting its table alone
+on its own optimizer stream, bit for bit.  Each run's plausibility
+sweep follows the fits; its chunk pool is the only process pool here.
+Each record is built once, after the sweeps, with its estimates in the
+config's order.  Nothing is timed.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -106,8 +104,6 @@ class RunRecord:
     n_total: int
     counts: np.ndarray
     estimates: list
-    master_seed: int
-    generator_id: str = GENERATOR_ID
 
 
 def _score(truth, dec):
@@ -115,71 +111,78 @@ def _score(truth, dec):
     return e0, e1, perr, 1.0 - e0 * 1e-6, 1.0 - e1 * 1e-6
 
 
-def simulate_run(config, run_index, sweep_workers=1):
-    """All RunRecords of a single run, one per schedule entry.
+def simulate_run(config, runs, sweep_workers=1):
+    """All RunRecords of the given runs, ordered by (run, N).
 
-    Counts and linear inversion go checkpoint by checkpoint; the ML fits
-    of all checkpoints then run in one `estimate.ml_estimates` call, and
-    the plausibility sweep last; each ML result, built with its summary,
+    Counts and linear inversion go run by run, checkpoint by checkpoint;
+    the ML fits of every (run, checkpoint) then run in one
+    `estimate.ml_estimates` call, and each run's plausibility sweep last,
+    on sweep_workers processes; each ML result, built with its summary,
     takes its slot in the config's estimator order.
     """
     truth = config.source
     povm = get_povm(config.povm)
     probs = povm.probabilities_from_features(ensemble_state(truth).features())
-    rng_counts = stream_generator(config.master_seed, STREAM_COUNTS, run_index)
 
-    tables, estimates = [], []
-    counts = np.zeros(povm.n_outcomes, dtype=np.int64)
-    prev_n = 0
-    for n in config.n_schedule:
-        counts = counts + sample_counts(probs, n - prev_n, rng_counts)
-        prev_n = n
-        tables.append(counts)
-        row = []
-        for name in config.estimators:
-            if name not in LI_METHODS:
-                continue
-            try:
-                dec = _est.li_pipeline(counts, povm, LI_METHODS[name])
-            except (DegenerateInputError, NonPhysicalMomentsError,
-                    IllConditionedError) as exc:
-                # keep the type (noisy counts are a runtime condition, not
-                # a usage error) but say which checkpoint broke
-                raise type(exc)(f"run {run_index}, N={n}, estimator "
-                                f"{name}: {exc}") from exc
-            row.append(EstimateResult(name, dec, *_score(truth, dec)))
-        estimates.append(row)
+    keys, tables, estimates, seeds = [], [], [], []
+    for run_index in runs:
+        rng_counts = stream_generator(config.master_seed, STREAM_COUNTS,
+                                      run_index)
+        counts = np.zeros(povm.n_outcomes, dtype=np.int64)
+        prev_n = 0
+        for n_index, n in enumerate(config.n_schedule):
+            counts = counts + sample_counts(probs, n - prev_n, rng_counts)
+            prev_n = n
+            keys.append((run_index, n))
+            tables.append(counts)
+            seeds.append(seed_sequence(config.master_seed, STREAM_OPTIMIZER,
+                                       run_index, n_index))
+            row = []
+            for name in config.estimators:
+                if name not in LI_METHODS:
+                    continue
+                try:
+                    dec = _est.li_pipeline(counts, povm, LI_METHODS[name])
+                except (DegenerateInputError, NonPhysicalMomentsError,
+                        IllConditionedError) as exc:
+                    # keep the type (noisy counts are a runtime condition,
+                    # not a usage error) but say which checkpoint broke
+                    raise type(exc)(f"run {run_index}, N={n}, estimator "
+                                    f"{name}: {exc}") from exc
+                row.append(EstimateResult(name, dec, *_score(truth, dec)))
+            estimates.append(row)
 
     fits = []
     if "ml" in config.estimators:
-        fits = _est.ml_estimates(
-            tables, povm, config.optimizer,
-            [seed_sequence(config.master_seed, STREAM_OPTIMIZER, run_index,
-                           n_index) for n_index in range(len(tables))])
+        fits = _est.ml_estimates(tables, povm, config.optimizer, seeds)
 
     reports = {}
     if config.plausibility_enabled:
         checkpoints = [config.n_schedule.index(n) for n in
                        config.plausibility_checkpoints or config.n_schedule]
-        sweep = _pl.plausibility_sweep(
-            [tables[i] for i in checkpoints], povm,
-            [fits[i].params for i in checkpoints], config.plausibility_m,
-            seed_sequence(config.master_seed, STREAM_PRIOR, run_index),
-            truth=truth, workers=sweep_workers)
-        reports = dict(zip(checkpoints, sweep))
+        per_run = len(config.n_schedule)
+        for first in range(0, len(tables), per_run):
+            slots = [first + i for i in checkpoints]
+            sweep = _pl.plausibility_sweep(
+                [tables[k] for k in slots], povm,
+                [fits[k].params for k in slots], config.plausibility_m,
+                seed_sequence(config.master_seed, STREAM_PRIOR,
+                              keys[first][0]),
+                truth=truth, workers=sweep_workers)
+            reports.update(zip(slots, sweep))
 
-    for i, ml in enumerate(fits):
+    for k, ml in enumerate(fits):
         dec = _est.ml_decomposition(ml)
-        rep = reports.get(i)
+        rep = reports.get(k)
         plausible = {} if rep is None else {
             "lambda_pl": rep.lambda_pl, "size_pl": rep.size_pl,
             "credibility_pl": rep.credibility_pl,
             "truth_plausible": rep.truth_plausible}
-        estimates[i].insert(config.estimators.index("ml"), EstimateResult(
+        estimates[k].insert(config.estimators.index("ml"), EstimateResult(
             "ml", dec, *_score(truth, dec), objective=ml.objective,
             converged=ml.converged, **plausible))
-    return [RunRecord(run_index, n, table, row, config.master_seed)
-            for n, table, row in zip(config.n_schedule, tables, estimates)]
+    return [RunRecord(run_index, n, table, row) for (run_index, n), table, row
+            in zip(keys, tables, estimates)]
 
 
 def run_experiment(config, workers=None, log=None):
@@ -187,20 +190,11 @@ def run_experiment(config, workers=None, log=None):
 
     Results are identical for any worker count: run r always consumes the
     streams keyed by (master_seed, stream, r), and records are ordered by
-    (run, N) regardless of completion order.  Parallelism goes across
-    runs; a single-run config parallelizes its plausibility chunks
-    instead.
+    (run, N).  All runs' ML fits share one lockstep call; workers sets
+    the process count of each plausibility sweep.
     """
-    workers = workers if workers else 1
-    sweep_workers = workers if config.runs == 1 else 1
-    workers = min(workers, config.runs)
-    records = []
-    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-        run = map if pool is None else pool.map
-        runs = run(simulate_run, repeat(config), range(config.runs),
-                   repeat(sweep_workers))
-        for r, recs in enumerate(runs):
-            records.extend(recs)
-            if log:
-                log(f"run {r + 1}/{config.runs} done")
+    records = simulate_run(config, range(config.runs), workers or 1)
+    if log:
+        for r in range(config.runs):
+            log(f"run {r + 1}/{config.runs} done")
     return records

@@ -361,6 +361,8 @@ def test_estimate_bad_inputs_exit_2(tmp_path):
     assert main(["estimate", tet, "--povm", "sic"]) == 2
     assert main(["estimate", tet, "--povm", "tetra", "--estimator", "ml",
                  "--seed", "-1"]) == 2
+    assert main(["estimate", tet, "--povm", "tetra", "--threads", "-3"]) == 2
+    assert main(["estimate", tet, "--povm", "tetra", "--out", ""]) == 2
 
 
 @pytest.mark.filterwarnings("ignore::pairtomo.IllConditionedWarning")
@@ -410,6 +412,8 @@ def test_plausible_bad_arguments_exit_2(tmp_path):
                  "--seed", "-1"]) == 2
     assert main(["plausible", path, "--povm", "tetra", "--m", "100",
                  "--threads", "-1"]) == 2
+    assert main(["plausible", path, "--povm", "tetra", "--m", "100",
+                 "--out", ""]) == 2
 
 
 def test_plausible_degenerate_sample_exits_1(tmp_path):
@@ -480,6 +484,21 @@ def test_asymptotics_leaves_undefined_cells_empty(tmp_path, capsys):
     assert out[0]["ratio_d"] is not None
     assert [r["ratio_d"] is None for r in out] == [False, True, True, False]
     assert all(r["size_scaled"] is not None for r in out[1:])
+
+
+def test_asymptotics_bad_arguments_exit_2(tmp_path, capsys):
+    # the table is valid; only the arguments are wrong.  asymptotics draws
+    # nothing, so it takes no --seed or --threads
+    row = dict.fromkeys(RESULT_COLUMNS)
+    row.update(run=0, n=100, lambda_pl=1e-3, size=1e-2, credibility=0.99)
+    path = tmp_path / "results.csv"
+    path.write_text(render_table(RESULT_COLUMNS, [row], "csv"), newline="")
+    assert main(["asymptotics", str(path), "--out", ""]) == 2
+    for flag in ("--seed", "--threads"):
+        with pytest.raises(SystemExit) as exc:
+            main(["asymptotics", str(path), flag, "1"])
+        assert exc.value.code == 2
+    assert main(["asymptotics", str(path)]) == 0
 
 
 @pytest.mark.parametrize("column, cell", [("n", ""), ("n", "1.5"),

@@ -8,9 +8,8 @@ from pairtomo import TETRA, ensemble_state, sample_counts, seed_sequence
 from pairtomo.cli import ExperimentConfig
 from pairtomo.estimate import ml_decomposition, ml_estimate
 from pairtomo.recon import DegenerateInputError
-from pairtomo.sim import (GENERATOR_ID, STREAM_COUNTS, STREAM_OPTIMIZER,
-                          STREAM_PRIOR, run_experiment, simulate_run,
-                          stream_generator)
+from pairtomo.sim import (STREAM_COUNTS, STREAM_OPTIMIZER, STREAM_PRIOR,
+                          run_experiment, simulate_run, stream_generator)
 
 
 def _config(**over):
@@ -92,8 +91,6 @@ def test_run_records_are_ordered_and_cumulative():
                        if (r.run_index, r.n_total) == (run, n))
             assert (rec.counts == acc).all()
             assert rec.counts.sum() == n
-            assert rec.generator_id == GENERATOR_ID
-            assert rec.master_seed == 42
 
 
 def test_estimator_failure_carries_run_context():
@@ -135,18 +132,22 @@ def test_ml_estimates_are_seeded_per_checkpoint():
 
 
 def test_ml_fits_use_the_run_and_checkpoint_stream():
-    # the lockstep fits of a run equal lone fits on stream (run, n_index)
+    # the lockstep fits of both runs, made in one call, equal lone fits on
+    # stream (run, n_index)
     cfg = _config(runs=2, estimators=["li-xi", "ml"],
                   optimizer={"max_evaluations": 1200}, n_schedule=[60, 200, 500])
-    for run in range(2):
-        for n_index, rec in enumerate(simulate_run(cfg, run)):
-            opt = dataclasses.replace(cfg.optimizer, seed=seed_sequence(
-                42, STREAM_OPTIMIZER, run, n_index))
-            ml = ml_estimate(rec.counts, cfg.povm, opt)
-            est = rec.estimates[1]
-            assert est.estimator == "ml"
-            assert est.decomposition == ml_decomposition(ml)
-            assert (est.objective, est.converged) == (ml.objective, ml.converged)
+    records = run_experiment(cfg)
+    assert len(records) == 6
+    for i, rec in enumerate(records):
+        run, n_index = divmod(i, 3)
+        assert rec.run_index == run
+        opt = dataclasses.replace(cfg.optimizer, seed=seed_sequence(
+            42, STREAM_OPTIMIZER, run, n_index))
+        ml = ml_estimate(rec.counts, cfg.povm, opt)
+        est = rec.estimates[1]
+        assert est.estimator == "ml"
+        assert est.decomposition == ml_decomposition(ml)
+        assert (est.objective, est.converged) == (ml.objective, ml.converged)
 
 
 def test_plausibility_attaches_to_requested_checkpoints():
@@ -188,10 +189,15 @@ def test_single_run_sweep_parallelism_is_invariant():
 
 
 def test_simulate_run_matches_run_experiment():
-    cfg = _config()
+    # run 1 alone equals run 1 of the batch, whose ML fits share one call
+    # with the other runs' fits
+    cfg = _config(estimators=["li-xi", "ml", "li-moments"],
+                  n_schedule=[120, 400], optimizer={"max_evaluations": 1200})
     records = run_experiment(cfg)
-    solo = simulate_run(cfg, 1)
+    solo = simulate_run(cfg, [1])
     expected = [r for r in records if r.run_index == 1]
+    assert len(solo) == len(expected) == 2
     for a, b in zip(solo, expected):
+        assert (a.run_index, a.n_total) == (b.run_index, b.n_total)
         assert (a.counts == b.counts).all()
-        assert a.estimates[0].err0_ppm == b.estimates[0].err0_ppm
+        assert a.estimates == b.estimates
