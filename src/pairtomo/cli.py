@@ -37,8 +37,8 @@ from .povm import get_povm
 from .qstate import (ParamVector, PureQubit, ensemble_state, moment_features,
                      random_param_array, to_triplet_matrix)
 from .recon import decompose_moments, eigh3
-from .sim import (GENERATOR_ID, LI_METHODS, STREAM_OPTIMIZER, STREAM_PRIOR,
-                  run_experiment, sample_counts, seed_sequence)
+from .sim import (_MAX_N, GENERATOR_ID, LI_METHODS, STREAM_OPTIMIZER,
+                  STREAM_PRIOR, run_experiment, sample_counts, seed_sequence)
 
 ESTIMATOR_NAMES = (*LI_METHODS, "ml")
 
@@ -55,9 +55,6 @@ DEFAULT_M = 10_000_000
 _OPTIMIZER_FIELDS = tuple(f.name for f in dataclasses.fields(OptimizerConfig)
                           if f.name != "seed")
 _OPTIMIZER_COUNTS = ("population", "max_evaluations", "restarts")
-# a count total is a 64-bit integer: the simulator's multinomial draw
-# needs one, and it keeps a result table's n ** 2.5 finite
-_MAX_N = 2 ** 63 - 1
 
 
 class UsageError(Exception):
@@ -490,7 +487,7 @@ def _log(args):
 def cmd_simulate(args):
     config = _load_config(args)
     log = _log(args)
-    records = run_experiment(config, workers=_threads(args), log=log)
+    records = run_experiment(config, workers=_threads(args))
     table = render_table(RESULT_COLUMNS, result_rows(records),
                          config.out_format)
     cfg_dict = config.to_dict()
@@ -776,7 +773,8 @@ def _add_common(sub, seeded=True):
         sub.add_argument("--seed", type=int, metavar="U64",
                          help="master seed (overrides the config for simulate)")
     sub.add_argument("--verbose", action="store_true",
-                     help="progress messages on stderr")
+                     help="name each file written on stderr; plausible "
+                          "also prints theta_ML")
 
 
 def build_parser():

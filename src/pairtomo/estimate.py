@@ -80,20 +80,15 @@ def log_likelihood(params, counts, povm):
 
 
 def _batch_objective(counts, povm):
-    """-log(L)/N as a vectorized function of (B, 5) parameter rows.
-
-    The returned function takes the rows' moment features as a second
-    argument when the caller has already computed them.
-    """
+    """-log(L)/N as a vectorized function of the (B, 10) moment features
+    of B parameter rows."""
     counts = np.asarray(counts, dtype=float)
     n_total = counts.sum()
     active = counts > 0
     n_active = counts[active]
     w_active = povm.moment_matrix[active]
 
-    def objective(rows, features=None):
-        if features is None:
-            features = moment_features(rows)
+    def objective(features):
         qs = features @ w_active.T
         bad = (qs <= 0.0).any(axis=1)
         vals = -(np.log(np.maximum(qs, 1e-300)) @ n_active) / n_total
@@ -256,7 +251,7 @@ def ml_estimates(tables, povm, opt=None, seeds=None):
             feats = moment_features(x0f)
             started, again = [], []
             for j, fit in enumerate(pending):
-                f0 = fit.objective(x0f[j][None, :], feats[j][None, :])
+                f0 = fit.objective(feats[j][None, :])
                 fit.start_restart(x0f[j], float(f0[0]), hist_len)
                 if fit.evals + popsize <= budget:
                     started.append(j)
@@ -290,7 +285,7 @@ def ml_estimates(tables, povm, opt=None, seeds=None):
         feats = moment_features(xf)
         f = np.empty((k_live, popsize))
         for k, fit in enumerate(live):
-            f[k] = fit.objective(xf[k], feats[k])
+            f[k] = fit.objective(feats[k])
         order = np.argsort(f, axis=1, kind="stable")
         y_sel = y[np.arange(k_live)[:, None], order[:, :mu]]
         y_w = weights @ y_sel

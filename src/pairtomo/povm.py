@@ -42,8 +42,8 @@ import math
 
 import numpy as np
 
-from .qstate import (FEATURE_TRIPLETS, PAULIS, SymmetricTwoQubitState,
-                     from_triplet_matrix)
+from .qstate import (_TRIPLET_SCALE, FEATURE_TRIPLETS, PAULIS, TRIPLET_BASIS,
+                     SymmetricTwoQubitState, from_triplet_matrix)
 
 
 class EmptyDataError(ValueError):
@@ -136,12 +136,7 @@ class SicPovm(LinearPovm):
 
     def elements4(self):
         """4x4 embeddings of the elements (diagnostics and self tests)."""
-        emb = np.zeros((9, 4, 4), dtype=complex)
-        r = 1.0 / math.sqrt(2.0)
-        lift = np.array([[1, 0, 0], [0, 0, r], [0, 0, r], [0, 1, 0]], dtype=complex)
-        for j in range(9):
-            emb[j] = lift @ self.elements[j] @ lift.conj().T
-        return emb
+        return TRIPLET_BASIS.T @ (self.elements * _TRIPLET_SCALE) @ TRIPLET_BASIS
 
 
 class TetraPovm(LinearPovm):

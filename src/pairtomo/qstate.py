@@ -24,15 +24,19 @@ Parameterization used throughout the package:
 Restricting theta to [0, pi/2] makes (theta, phi) <-> Bloch vector a
 bijection except at the poles, where phi is fixed to 0.
 
-Triplet-sector matrices are written in the ordered basis
+Moments are packed into the length-10 feature vector
+
+    f = (1, sx, sy, sz, Cxx, Cyy, Czz, Cxy, Cxz, Cyz),
+
+C entries in the order of `_C_PAIRS`.  The state is linear in f:
+rho = sum_i f_i O_i, with the 4x4 operators O_i of `FEATURE_OPERATORS`
+built from `PAULIS`.  Triplet-sector matrices are written in the basis
 
     |00>,  |11>,  (|01> + |10>)/sqrt(2),
 
-and second-moment coefficients are packed into a length-10 feature vector
-
-    (1, sx, sy, sz, Cxx, Cyy, Czz, Cxy, Cxz, Cyz)
-
-so that all measurement probabilities become a single matrix product.
+whose rows, unnormalized, are `TRIPLET_BASIS`; the triplet block of O_i
+is `FEATURE_TRIPLETS[i]`.  So the triplet block and every measurement
+probability are one matrix product with f.
 """
 
 import math
@@ -43,15 +47,41 @@ import numpy as np
 HALF_PI = math.pi / 2
 TWO_PI = 2 * math.pi
 
-# Pauli matrices, used for embedding states in the full 4x4 picture.
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
+# Pauli matrices x, y, z, used for embedding states in the full 4x4 picture
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 FEATURE_NAMES = ("1", "sx", "sy", "sz", "cxx", "cyy", "czz", "cxy", "cxz", "cyz")
 
+# (row, column) of the entry of C behind each of features 4..9
+_C_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_C_ROWS, _C_COLS = np.array(_C_PAIRS).T
+# the feature position of every entry of C
+_C_OF_FEATURES = np.empty((3, 3), dtype=int)
+_C_OF_FEATURES[_C_ROWS, _C_COLS] = _C_OF_FEATURES[_C_COLS, _C_ROWS] = range(4, 10)
+
+
+def _sym_kron(a, b):
+    return np.kron(a, b) + np.kron(b, a)
+
+
+# (10, 4, 4) operators O_i with rho = sum_i f_i O_i: I/4, the local terms
+# (sigma_k (x) I + I (x) sigma_k)/4 and the symmetrized correlation terms,
+# whose off-diagonal C entries stand for both C_kl and C_lk
+FEATURE_OPERATORS = np.array(
+    [np.eye(4)] + [_sym_kron(p, np.eye(2)) for p in PAULIS]
+    + [_sym_kron(PAULIS[i], PAULIS[j]) / (1 + (i == j)) for i, j in _C_PAIRS]
+) / 4.0
+FEATURE_OPERATORS.setflags(write=False)
+
+# triplet basis |00>, |11>, |01> + |10> as rows over |00>, |01>, |10>, |11>;
+# the last row has norm sqrt(2), which _TRIPLET_SCALE divides out
+TRIPLET_BASIS = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0]], dtype=float)
+TRIPLET_BASIS.setflags(write=False)
+
 _POLE_TOL = 1e-15
+# tolerances of SymmetricTwoQubitState.is_physical
+_EIG_TOL = 1e-10
+_TRACE_TOL = 1e-12
 
 
 def _check_angle(name, value, upper):
@@ -237,10 +267,6 @@ class ParamVector:
         return PureQubit(self.theta1, self.phi1)
 
 
-# feature positions of the entries of C, row by row
-_C_OF_FEATURES = np.array([4, 7, 8, 7, 5, 9, 8, 9, 6])
-
-
 @dataclass(frozen=True)
 class SymmetricTwoQubitState:
     """Moment representation (s, C) of a swap-symmetric two-qubit state.
@@ -259,7 +285,9 @@ class SymmetricTwoQubitState:
         c = np.array(self.c, dtype=float)
         if s.shape != (3,) or c.shape != (3, 3):
             raise ValueError("s must be shape (3,), c must be shape (3, 3)")
-        if np.max(np.abs(c - c.T)) > 1e-12:
+        if not (np.isfinite(s).all() and np.isfinite(c).all()):
+            raise ValueError("moments must be finite")
+        if not np.max(np.abs(c - c.T)) <= 1e-12:
             raise ValueError("correlation dyad must be symmetric")
         c = 0.5 * (c + c.T)
         s.setflags(write=False)
@@ -278,7 +306,7 @@ class SymmetricTwoQubitState:
         if f.shape != (10,):
             raise ValueError(f"features shape {f.shape} is not (10,)")
         s = f[1:4].copy()
-        c = f[_C_OF_FEATURES].reshape(3, 3)
+        c = f[_C_OF_FEATURES]
         state = object.__new__(cls)
         s.setflags(write=False)
         c.setflags(write=False)
@@ -295,31 +323,23 @@ class SymmetricTwoQubitState:
 
     def features(self):
         """Length-10 moment feature vector (see module docstring)."""
-        c = self.c
-        return np.concatenate(([1.0], self.s,
-                               [c[0, 0], c[1, 1], c[2, 2], c[0, 1], c[0, 2], c[1, 2]]))
+        return np.concatenate(([1.0], self.s, self.c[_C_ROWS, _C_COLS]))
 
     def matrix4(self):
         """Full 4x4 density-matrix embedding."""
-        rho = np.eye(4, dtype=complex)
-        for k in range(3):
-            pk = PAULIS[k]
-            rho += self.s[k] * (np.kron(pk, np.eye(2)) + np.kron(np.eye(2), pk))
-            for l in range(3):
-                rho += self.c[k, l] * np.kron(pk, PAULIS[l])
-        return rho / 4.0
+        return np.tensordot(self.features(), FEATURE_OPERATORS, 1)
 
-    def is_physical(self, eig_tol=1e-10, trace_tol=1e-12):
+    def is_physical(self):
         """True when this is a valid pair-ensemble state within tolerance.
 
-        Checks both positivity of the 4x4 embedding (eigenvalues >= -eig_tol)
-        and trace(C) = 1 (zero singlet weight).  Linear inversion on finite
-        counts routinely fails this; the flag is informational, nothing is
-        repaired.
+        Checks both positivity of the 4x4 embedding (eigenvalues >=
+        -_EIG_TOL) and trace(C) = 1 within _TRACE_TOL (zero singlet
+        weight).  Linear inversion on finite counts routinely fails this;
+        the flag is informational, nothing is repaired.
         """
-        if abs(float(np.trace(self.c)) - 1.0) > trace_tol:
+        if not abs(float(np.trace(self.c)) - 1.0) <= _TRACE_TOL:
             return False
-        return bool(np.linalg.eigvalsh(self.matrix4())[0] >= -eig_tol)
+        return bool(np.linalg.eigvalsh(self.matrix4())[0] >= -_EIG_TOL)
 
 
 def ensemble_state(params):
@@ -420,8 +440,7 @@ def prior_features(rng, size):
     np.subtract(a, b, out=out[1:4])
     out[1:4] *= p0
     out[1:4] += b
-    for row, (i, j) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2),
-                                  (1, 2)), start=4):
+    for row, (i, j) in enumerate(_C_PAIRS, start=4):
         bb = b[i] * b[j]
         f = out[row]
         np.multiply(a[i], a[j], out=f)
@@ -433,50 +452,25 @@ def prior_features(rng, size):
 
 # --------------------------------------------------------------------------
 # Triplet-sector 3x3 representation.
-#
-# Entry formulas in the ordered basis (|00>, |11>, (|01>+|10>)/sqrt(2)),
-# written out once as a linear map on the moment features so that the same
-# coefficients serve scalar use, batch use and the measurement models.
 
 _SQRT2 = math.sqrt(2.0)
 
+# D X D for D = diag(1, 1, 1/sqrt(2)), as an elementwise factor: it
+# normalizes the chi row and column of a block taken in TRIPLET_BASIS.
+# The chi diagonal takes 1/2 exactly, which (sqrt(2)/2)^2 misses by an ulp.
+_TRIPLET_SCALE = np.array([[1.0, 1.0, _SQRT2 / 2], [1.0, 1.0, _SQRT2 / 2],
+                           [_SQRT2 / 2, _SQRT2 / 2, 0.5]])
 
-def _feature_triplet_tensor():
-    """(10, 3, 3) tensor T with  m = sum_i feature_i * T[i]."""
-    t = np.zeros((10, 3, 3), dtype=complex)
-    one, sx, sy, sz, cxx, cyy, czz, cxy, cxz, cyz = range(10)
-    # diagonal
-    t[one, 0, 0] = 0.25
-    t[sz, 0, 0] = 0.5
-    t[czz, 0, 0] = 0.25
-    t[one, 1, 1] = 0.25
-    t[sz, 1, 1] = -0.5
-    t[czz, 1, 1] = 0.25
-    t[one, 2, 2] = 0.25
-    t[czz, 2, 2] = -0.25
-    t[cxx, 2, 2] = 0.25
-    t[cyy, 2, 2] = 0.25
-    # <00| rho |11>
-    t[cxx, 0, 1] = 0.25
-    t[cyy, 0, 1] = -0.25
-    t[cxy, 0, 1] = -0.5j
-    # <00| rho |chi>
-    t[sx, 0, 2] = _SQRT2 / 4
-    t[sy, 0, 2] = -1j * _SQRT2 / 4
-    t[cxz, 0, 2] = _SQRT2 / 4
-    t[cyz, 0, 2] = -1j * _SQRT2 / 4
-    # <11| rho |chi>
-    t[sx, 1, 2] = _SQRT2 / 4
-    t[sy, 1, 2] = 1j * _SQRT2 / 4
-    t[cxz, 1, 2] = -_SQRT2 / 4
-    t[cyz, 1, 2] = -1j * _SQRT2 / 4
-    # hermitian completion
-    for i in range(10):
-        t[i] = t[i] + np.triu(t[i], 1).conj().T
-    t.setflags(write=False)
-    return t
-
-FEATURE_TRIPLETS = _feature_triplet_tensor()
+# (10, 3, 3) triplet blocks T_i of FEATURE_OPERATORS: m = sum_i f_i T_i.
+# The unnormalized blocks are exact (multiples of 1/4), so every entry is
+# one rounding of its closed form.  Adding +0 clears the sign of the
+# products' zeros, which m would carry into the eigensolver of the null
+# ket, where the sign of a zero can order two tied roots.  A first batched
+# complex matmul here would add about 0.3 MB to every process's RSS.
+FEATURE_TRIPLETS = (np.einsum("ak,ikl,bl->iab", TRIPLET_BASIS,
+                              FEATURE_OPERATORS, TRIPLET_BASIS)
+                    * _TRIPLET_SCALE + 0.0)
+FEATURE_TRIPLETS.setflags(write=False)
 
 
 # FEATURE_TRIPLETS as a (10, 9) matrix, a view of the same memory
@@ -508,8 +502,8 @@ def from_triplet_matrix(m):
     m = np.asarray(m, dtype=complex)
     if m.shape != (3, 3):
         raise ValueError("triplet matrix must be 3x3")
-    if np.max(np.abs(m - m.conj().T)) > 1e-12:
-        raise ValueError("triplet matrix must be Hermitian")
+    if not (np.isfinite(m).all() and np.max(np.abs(m - m.conj().T)) <= 1e-12):
+        raise ValueError("triplet matrix must be finite and Hermitian")
     m00 = m[0, 0].real
     m11 = m[1, 1].real
     m22 = m[2, 2].real

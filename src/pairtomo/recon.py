@@ -64,6 +64,8 @@ class IllConditionedWarning(UserWarning):
 
 # eigenvalue gap below which an eigenvector is treated as ill-determined
 DEGENERACY_TOL = 1e-9
+# null-ket coefficient magnitude below which states_from_xi takes it as 0
+_ROOT_TOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -210,26 +212,28 @@ def _dot3(u, v):
 # --------------------------------------------------------------------------
 # Null-ket route
 
-def xi_from_triplet(m, degeneracy_tol=DEGENERACY_TOL):
+def xi_from_triplet(m):
     """Null ket of a triplet 3x3 matrix: eigenvector of smallest eigenvalue.
 
     Returns (TripletKet, eigenvalue).  If the two smallest eigenvalues agree
-    within degeneracy_tol the ket is poorly determined and an
+    within DEGENERACY_TOL the ket is poorly determined and an
     IllConditionedWarning is issued; the returned vector is still
-    deterministic.
+    deterministic.  A matrix that is not finite and Hermitian raises
+    ValueError.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (3, 3) or np.max(np.abs(m - m.conj().T)) > 1e-12:
-        raise ValueError("input must be a 3x3 Hermitian matrix")
-    return _null_ket(m, degeneracy_tol)
+    if m.shape != (3, 3) or not (np.isfinite(m).all() and
+                                 np.max(np.abs(m - m.conj().T)) <= 1e-12):
+        raise ValueError("input must be a finite 3x3 Hermitian matrix")
+    return _null_ket(m)
 
 
-def _null_ket(m, degeneracy_tol=DEGENERACY_TOL):
+def _null_ket(m):
     """`xi_from_triplet` of a complex 3x3 matrix that is Hermitian by
     construction.  Warnings point at the caller's caller."""
     w, v = np.linalg.eigh(m)
     w0, w1, _ = w.tolist()
-    if w1 - w0 < degeneracy_tol:
+    if w1 - w0 < DEGENERACY_TOL:
         warnings.warn("smallest triplet eigenvalues nearly degenerate; "
                       "null ket is ill-determined", IllConditionedWarning,
                       stacklevel=3)
@@ -253,18 +257,19 @@ def _state_from_root(z):
     return PureQubit(theta, wrap_phase(math.atan2(z.imag, z.real)))
 
 
-def states_from_xi(xi, tol=1e-12):
+def states_from_xi(xi):
     """Solve c00 z^2 + 2 c01 z + c11 = 0 for the two preparation states.
 
-    Returns (state_a, state_b, degenerate).  A vanishing c00 moves one root
-    to infinity, which corresponds to the state |0>; a double root yields
-    two identical states and sets the degenerate flag.
+    Returns (state_a, state_b, degenerate).  A vanishing c00 (below
+    _ROOT_TOL) moves one root to infinity, which corresponds to the state
+    |0>; a double root yields two identical states and sets the
+    degenerate flag.
     """
     c00 = xi.c00
     c01 = xi.c01
     c11 = xi.c11
-    if abs(c00) <= tol:
-        if abs(c01) <= tol:
+    if abs(c00) <= _ROOT_TOL:
+        if abs(c01) <= _ROOT_TOL:
             # only (a1*)^2 c11 = 0 remains: both states are |0>
             sa = sb = PureQubit(0.0, 0.0)
             return sa, sb, True
@@ -275,7 +280,7 @@ def states_from_xi(xi, tol=1e-12):
         if (c01.conjugate() * sq).real < 0.0:
             sq = -sq
         q = -(c01 + sq)
-        if abs(q) <= tol:
+        if abs(q) <= _ROOT_TOL:
             # c01 ~ 0 and c00*c11 ~ 0 with c00 != 0: double root at z = 0
             sa = sb = _state_from_root(0j)
             return sa, sb, True

@@ -40,6 +40,10 @@ STREAM_COUNTS = 0
 STREAM_OPTIMIZER = 1
 STREAM_PRIOR = 2
 
+# a count total is a 64-bit integer: the multinomial draw needs one, and
+# it keeps a result table's n ** 2.5 finite
+_MAX_N = 2 ** 63 - 1
+
 # linear-inversion estimator name -> li_pipeline recovery route
 LI_METHODS = {"li-xi": "xi", "li-moments": "moments"}
 
@@ -57,8 +61,10 @@ def stream_generator(master_seed, *path):
 def sample_counts(probs, n, seed):
     """Multinomial counts for n events with the given outcome probabilities.
 
-    seed may be an integer, a SeedSequence or a Generator (advanced in
-    place, which is how cumulative schedules chain increments).
+    n is a whole number in [0, 2^63 - 1], as an int, a numpy integer or
+    an integral float.  seed may be an integer, a SeedSequence or a
+    Generator (advanced in place, which is how cumulative schedules chain
+    increments).
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1:
@@ -68,8 +74,9 @@ def sample_counts(probs, n, seed):
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    # the chained test is false for nan and rejects inf before int()
+    if not (0 <= n <= _MAX_N and n == int(n)):
+        raise ValueError(f"n = {n!r} is not a whole number in [0, {_MAX_N}]")
     p = np.clip(probs, 0.0, None)
     p = p / p.sum()
     if n == 0:
@@ -111,13 +118,13 @@ def _score(truth, dec):
     return e0, e1, perr, 1.0 - e0 * 1e-6, 1.0 - e1 * 1e-6
 
 
-def simulate_run(config, runs, sweep_workers=1):
-    """All RunRecords of the given runs, ordered by (run, N).
+def simulate_run(config, workers=1):
+    """All RunRecords of the config's runs, ordered by (run, N).
 
     Counts and linear inversion go run by run, checkpoint by checkpoint;
     the ML fits of every (run, checkpoint) then run in one
     `estimate.ml_estimates` call, and each run's plausibility sweep last,
-    on sweep_workers processes; each ML result, built with its summary,
+    on `workers` processes; each ML result, built with its summary,
     takes its slot in the config's estimator order.
     """
     truth = config.source
@@ -125,7 +132,7 @@ def simulate_run(config, runs, sweep_workers=1):
     probs = povm.probabilities_from_features(ensemble_state(truth).features())
 
     keys, tables, estimates, seeds = [], [], [], []
-    for run_index in runs:
+    for run_index in range(config.runs):
         rng_counts = stream_generator(config.master_seed, STREAM_COUNTS,
                                       run_index)
         counts = np.zeros(povm.n_outcomes, dtype=np.int64)
@@ -168,7 +175,7 @@ def simulate_run(config, runs, sweep_workers=1):
                 [fits[k].params for k in slots], config.plausibility_m,
                 seed_sequence(config.master_seed, STREAM_PRIOR,
                               keys[first][0]),
-                truth=truth, workers=sweep_workers)
+                truth=truth, workers=workers)
             reports.update(zip(slots, sweep))
 
     for k, ml in enumerate(fits):
@@ -185,16 +192,13 @@ def simulate_run(config, runs, sweep_workers=1):
             in zip(keys, tables, estimates)]
 
 
-def run_experiment(config, workers=None, log=None):
+def run_experiment(config, workers=None):
     """Simulate config.runs independent experiments; flat list of records.
 
     Results are identical for any worker count: run r always consumes the
     streams keyed by (master_seed, stream, r), and records are ordered by
-    (run, N).  All runs' ML fits share one lockstep call; workers sets
-    the process count of each plausibility sweep.
+    (run, N).  All runs' ML fits share one lockstep call; workers (default
+    1) sets the process count of each plausibility sweep.  This is
+    `simulate_run`, under the name the command line calls.
     """
-    records = simulate_run(config, range(config.runs), workers or 1)
-    if log:
-        for r in range(config.runs):
-            log(f"run {r + 1}/{config.runs} done")
-    return records
+    return simulate_run(config, workers or 1)

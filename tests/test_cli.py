@@ -1,8 +1,11 @@
+import csv
 import dataclasses
 import filecmp
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -405,6 +408,57 @@ def test_plausible_report(tmp_path, capsys):
     assert len(report["theta_ml"]) == 5
 
 
+def _flat(node, key=""):
+    """(key, value) leaves of a nested report, keys as `a.b[0].c`."""
+    if isinstance(node, dict):
+        items = [(f"{key}.{k}" if key else k, v) for k, v in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{key}[{i}]", v) for i, v in enumerate(node)]
+    else:
+        return [(key, node)]
+    return [leaf for k, v in items for leaf in _flat(v, k)]
+
+
+def _csv_text(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--estimator", "li-xi", "--estimator", "ml"],
+    ["plausible", "--m", "2000", "--threads", "1"],
+])
+def test_csv_report_is_the_flattened_json_report(tmp_path, capsys, command):
+    path = counts_file(tmp_path, 400)
+    argv = [command[0], path, "--povm", "tetra", *command[1:], "--seed", "2"]
+    assert main(argv + ["--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["key", "value"]
+    expected = {k: _csv_text(v) for k, v in _flat(report)}
+    assert len(rows) - 1 == len(expected)
+    assert dict(rows[1:]) == expected
+
+
+def test_verbose_names_files_and_theta_ml(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = base_config(output={"path": str(out)})
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--verbose"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"wrote {out / 'results.csv'}", f"wrote {out / 'manifest.json'}"]
+    path = counts_file(tmp_path, 400)
+    assert main(["plausible", path, "--povm", "tetra", "--m", "2000",
+                 "--threads", "1", "--verbose"]) == 0
+    captured = capsys.readouterr()
+    theta_ml = json.loads(captured.out)["theta_ml"]
+    assert captured.err.splitlines() == [f"theta_ML = {theta_ml}"]
+
+
 def test_plausible_bad_arguments_exit_2(tmp_path):
     path = counts_file(tmp_path, 100)
     assert main(["plausible", path, "--povm", "tetra", "--m", "0"]) == 2
@@ -531,6 +585,14 @@ def test_python_m_pairtomo_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "simulate" in proc.stdout
+
+
+def test_readme_quick_start_runs():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    start = text.index("```python\n") + len("```python\n")
+    code = text[start:text.index("```", start)]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 # --------------------------------------------------------------------------

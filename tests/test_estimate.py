@@ -9,11 +9,13 @@ import pytest
 from pairtomo import (EmptyDataError, OptimizerConfig, ParamVector, li_pipeline,
                       ml_estimate, ml_estimates, moment_features)
 from pairtomo.estimate import (DiagnosticsReport, MlEstimate, _batch_objective,
-                               fold_params, li_diagnostics, log_likelihood,
-                               match_and_score, ml_decomposition)
+                               _xi_decomposition, fold_params, li_diagnostics,
+                               log_likelihood, match_and_score,
+                               ml_decomposition)
 from pairtomo.povm import get_povm
 from pairtomo.qstate import (FEATURE_TRIPLETS, HALF_PI, TWO_PI,
-                             SymmetricTwoQubitState, random_param_array)
+                             SymmetricTwoQubitState, ensemble_state,
+                             random_param_array, to_triplet_matrix)
 from pairtomo.recon import (DEGENERACY_TOL, Decomposition,
                             IllConditionedError, IllConditionedWarning,
                             TripletKet, decompose_moments, eigh3,
@@ -120,12 +122,24 @@ def test_log_likelihood_rejects_bad_counts():
         log_likelihood(params, -np.ones(9), "sic")
 
 
+def test_xi_route_weights_of_close_states_route_as_degenerate():
+    # 1 - F = 3e-11: states_from_xi still separates the two roots, but
+    # probabilities_given_states refuses their weights, so the pair
+    # routes as degenerate, after the null-ket warning
+    truth = ParamVector(0.6, 1.0, 0.6 + math.sqrt(3e-11), 1.0, 0.7)
+    m3 = to_triplet_matrix(ensemble_state(truth))
+    with pytest.warns(IllConditionedWarning):
+        dec = _xi_decomposition(m3)
+    assert dec.degenerate and dec.method == "xi"
+    assert (dec.p0, dec.p1) == (1.0, 0.0)
+
+
 def test_batch_objective_matches_log_likelihood(rng):
     povm = get_povm("tetra")
     counts = rng.integers(1, 30, size=10).astype(float)
     objective = _batch_objective(counts, povm)
     rows = fold_params(rng.normal(size=(20, 5)))
-    vals = objective(rows)
+    vals = objective(moment_features(rows))
     for row, val in zip(rows, vals):
         expect = -log_likelihood(row, counts, "tetra") / counts.sum()
         assert abs(val - expect) < 1e-12

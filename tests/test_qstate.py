@@ -6,9 +6,10 @@ import pytest
 from pairtomo import (FEATURE_NAMES, ParamVector, PureQubit,
                       SymmetricTwoQubitState, ensemble_state, moment_features,
                       random_param_array)
-from pairtomo.qstate import (HALF_PI, TWO_PI, bloch_from_angles,
-                             canonical_phase, from_triplet_matrix,
-                             pair_ket_triplet, to_triplet_matrix)
+from pairtomo.qstate import (FEATURE_TRIPLETS, HALF_PI, TWO_PI,
+                             bloch_from_angles, canonical_phase,
+                             from_triplet_matrix, pair_ket_triplet,
+                             to_triplet_matrix)
 
 from conftest import (oracle_bloch, oracle_ket, oracle_rho4, oracle_triplet,
                       SINGLET_4, TRIPLET_BASIS_4)
@@ -150,6 +151,24 @@ def test_triplet_matrix_round_trip(param_draws):
         back = from_triplet_matrix(m)
         np.testing.assert_allclose(back.s, state.s, atol=1e-13)
         np.testing.assert_allclose(back.c, state.c, atol=1e-13)
+
+
+def test_feature_triplets_exact_entries():
+    # each entry is its closed form rounded once: sqrt(2)/4 for the chi
+    # row, exactly 1/4 on the chi diagonal, which (1/sqrt(2))^2 misses
+    one, sx, sy, sz, cxx, cyy, czz, cxy, cxz, cyz = FEATURE_TRIPLETS
+    r = math.sqrt(2.0) / 4
+    assert (sx[0, 2], sx[1, 2], sx[2, 0]) == (r, r, r)
+    assert (sy[0, 2], sy[1, 2], sy[2, 0]) == (-1j * r, 1j * r, 1j * r)
+    assert (cxz[0, 2], cxz[1, 2]) == (r, -r)
+    assert (cyz[0, 2], cyz[1, 2]) == (-1j * r, -1j * r)
+    assert (sz[0, 0], sz[1, 1], cxy[0, 1], cxy[1, 0]) == (0.5, -0.5, -0.5j, 0.5j)
+    assert [one[2, 2], cxx[2, 2], cyy[2, 2], czz[2, 2]] == [0.25, 0.25, 0.25,
+                                                           -0.25]
+    assert (one[0, 0], czz[0, 0], cxx[0, 1], cyy[0, 1]) == (0.25, 0.25, 0.25,
+                                                            -0.25)
+    # every other chi-diagonal entry is zero
+    assert np.count_nonzero(FEATURE_TRIPLETS[:, 2, 2]) == 4
 
 
 def test_pair_ket_triplet_matches_basis_projection():

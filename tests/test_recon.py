@@ -10,7 +10,7 @@ from pairtomo import (Decomposition, DegenerateInputError, IllConditionedError,
                       ParamVector, PureQubit, SymmetricTwoQubitState,
                       TripletKet, decompose_moments, ensemble_state,
                       li_pipeline, states_from_xi, xi_from_triplet)
-from pairtomo.qstate import to_triplet_matrix
+from pairtomo.qstate import from_triplet_matrix, to_triplet_matrix
 from pairtomo.recon import (DEGENERACY_TOL, eigh3,
                             probabilities_given_states)
 
@@ -156,6 +156,23 @@ def test_xi_from_triplet_is_null_direction(param_draws):
         assert abs(w0) < 1e-12
         residual = m @ xi.components()
         assert np.max(np.abs(residual)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_raises_documented_value_error(bad):
+    # a plain LinAlgError (a ValueError subclass) would not name the input
+    whole = np.full((3, 3), bad)
+    one = np.eye(3)
+    one[0, 0] = bad
+    for m in (whole, one):
+        with pytest.raises(ValueError, match="finite 3x3 Hermitian"):
+            xi_from_triplet(m)
+        with pytest.raises(ValueError, match="finite and Hermitian"):
+            from_triplet_matrix(m)
+        with pytest.raises(ValueError, match="moments must be finite"):
+            SymmetricTwoQubitState(np.zeros(3), m)
+    with pytest.raises(ValueError, match="moments must be finite"):
+        SymmetricTwoQubitState(np.full(3, bad), np.eye(3))
 
 
 def test_xi_from_triplet_warns_on_degenerate_pair():

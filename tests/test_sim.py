@@ -32,10 +32,15 @@ def test_sample_counts_validation():
         sample_counts(np.array([0.5, 0.6]), 10, 0)
     with pytest.raises(ValueError):
         sample_counts(np.array([1.5, -0.5]), 10, 0)
-    with pytest.raises(ValueError):
-        sample_counts(np.array([0.5, 0.5]), -1, 0)
+    # n is a whole number in [0, 2^63 - 1], never truncated or overflowed
+    for n in (-1, 5.5, 2 ** 70, 2.0 ** 63, math.nan, math.inf):
+        with pytest.raises(ValueError, match="whole number"):
+            sample_counts(np.array([0.5, 0.5]), n, 0)
     zero = sample_counts(np.array([0.5, 0.5]), 0, 0)
     assert zero.dtype == np.int64 and (zero == 0).all()
+    five = sample_counts(np.array([0.5, 0.5]), 5, 0)
+    for n in (np.int64(5), 5.0):
+        assert (sample_counts(np.array([0.5, 0.5]), n, 0) == five).all()
 
 
 def test_sample_counts_deterministic_and_complete():
@@ -189,15 +194,15 @@ def test_single_run_sweep_parallelism_is_invariant():
 
 
 def test_simulate_run_matches_run_experiment():
-    # run 1 alone equals run 1 of the batch, whose ML fits share one call
-    # with the other runs' fits
+    # a two-run batch equals the first two runs of a three-run batch,
+    # whose ML fits share one call with the third run's fits
     cfg = _config(estimators=["li-xi", "ml", "li-moments"],
                   n_schedule=[120, 400], optimizer={"max_evaluations": 1200})
     records = run_experiment(cfg)
-    solo = simulate_run(cfg, [1])
-    expected = [r for r in records if r.run_index == 1]
-    assert len(solo) == len(expected) == 2
-    for a, b in zip(solo, expected):
+    pair = simulate_run(dataclasses.replace(cfg, runs=2))
+    expected = [r for r in records if r.run_index < 2]
+    assert len(pair) == len(expected) == 4
+    for a, b in zip(pair, expected):
         assert (a.run_index, a.n_total) == (b.run_index, b.n_total)
         assert (a.counts == b.counts).all()
         assert a.estimates == b.estimates
