@@ -30,14 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .estimate import (OptimizerConfig, _as_generator, li_pipeline,
+from .estimate import (_MAX_N, OptimizerConfig, _as_generator, li_pipeline,
                        match_and_score, ml_decomposition, ml_estimate)
 from .plausible import asymptotics, plausibility
 from .povm import get_povm
 from .qstate import (ParamVector, PureQubit, ensemble_state, moment_features,
                      random_param_array, to_triplet_matrix)
 from .recon import decompose_moments, eigh3
-from .sim import (_MAX_N, GENERATOR_ID, LI_METHODS, STREAM_OPTIMIZER,
+from .sim import (GENERATOR_ID, LI_METHODS, STREAM_OPTIMIZER,
                   STREAM_PRIOR, run_experiment, sample_counts, seed_sequence)
 
 ESTIMATOR_NAMES = (*LI_METHODS, "ml")

@@ -29,6 +29,7 @@ cancels from every ratio and every location of the optimum.
 """
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -131,6 +132,23 @@ class MlEstimate:
     objective: float
     converged: bool
     n_evaluations: int
+
+
+# a count or sample total is a 64-bit integer: the multinomial draw needs
+# one, and it keeps a result table's n ** 2.5 finite
+_MAX_N = 2 ** 63 - 1
+
+
+def _whole_number(name, value, low):
+    """value as an int if it is a whole number in [low, 2^63 - 1]: an int, a
+    numpy integer or an integral float.  Anything else, nan, inf and
+    strings included, is a ValueError that names the argument."""
+    # the chained test is false for nan and rejects inf before int()
+    if not (isinstance(value, numbers.Real) and low <= value <= _MAX_N
+            and value == int(value)):
+        raise ValueError(
+            f"{name} = {value!r} is not a whole number in [{low}, {_MAX_N}]")
+    return int(value)
 
 
 def _as_generator(seed):

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import _as_generator, log_likelihood
+from .estimate import _as_generator, _whole_number, log_likelihood
 from .povm import get_povm
 from .qstate import prior_features
 
@@ -193,15 +193,14 @@ def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed, truth=None,
     the same prior sample, so the per-sample outcome probabilities are
     computed once; with dozens of checkpoints this dominates the cost of
     separate calls.  Every table must hold counts: an all-zero one raises
-    EmptyDataError, as in the other estimators.
+    EmptyDataError, as in the other estimators.  m and chunk_size are
+    whole numbers >= 1, as ints, numpy integers or integral floats.
     """
     povm = get_povm(povm)
     if len(counts_list) != len(theta_ml_list):
         raise ValueError("one theta_ml per counts vector is required")
-    if m < 1:
-        raise ValueError("sample count must be at least 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
+    m = _whole_number("m", m, 1)
+    chunk_size = _whole_number("chunk_size", chunk_size, 1)
     workers = workers if workers else 1
     counts_mat = np.array([povm.validate_counts(c) for c in counts_list])
     totals = counts_mat.sum(axis=1)

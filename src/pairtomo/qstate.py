@@ -403,19 +403,33 @@ def random_param_array(rng, size):
 
 
 def _isotropic_bloch(u_lat, u_phi):
-    """(3, n) unit Bloch vectors from uniforms, cos 2theta = 1 - 2 u_lat.
+    """(3, n) unit Bloch vectors from uniforms, cos 2theta = 1 - 2 u_lat and
+    phi = 2 pi u_phi.
 
     sin 2theta = 2 sqrt(u (1 - u)) keeps its digits near the poles, where
-    sqrt(1 - cos^2 2theta) would cancel.
+    sqrt(1 - cos^2 2theta) would cancel.  The phase enters through its
+    half-angle tangent t = tan(phi / 2): cos phi = (1 - t^2) / (1 + t^2) and
+    sin phi = 2 t / (1 + t^2), one tan in place of a cos and a sin.  tan
+    has period pi, so phi / 2 = pi u_phi is first moved into [-pi/2, pi/2];
+    at u_phi = 1/2, t is about 1.6e16, not infinite, and the two formulas
+    still give cos phi = -1 and sin phi = 0 to rounding.
     """
     r = u_lat * (1.0 - u_lat)
     np.sqrt(r, out=r)
     r *= 2.0
-    phi = TWO_PI * u_phi
+    t = np.rint(u_phi)
+    np.subtract(u_phi, t, out=t)
+    t *= math.pi
+    np.tan(t, out=t)
     v = np.empty((3, len(u_lat)))
-    np.cos(phi, out=v[0])
-    np.sin(phi, out=v[1])
-    v[:2] *= r
+    tt = t * t
+    np.subtract(1.0, tt, out=v[0])
+    tt += 1.0
+    # one factor sin 2theta / (1 + t^2) for both components
+    r /= tt
+    v[0] *= r
+    np.multiply(t, r, out=v[1])
+    v[1] *= 2.0
     np.subtract(1.0, 2.0 * u_lat, out=v[2])
     return v
 
@@ -425,15 +439,19 @@ def prior_features(rng, size):
     measure, one contiguous row per FEATURE_NAMES entry.
 
     Draws the same uniforms as `random_param_array` and agrees with
-    `moment_features(random_param_array(rng, size)).T` to rounding, but
-    goes from uniforms to Bloch vectors without the angles in between:
-    five trig calls per sample instead of nine, and no arccos.
+    `moment_features(random_param_array(rng, size)).T` to 2e-15, but goes
+    from uniforms to features without the angles in between and without
+    sin, cos or arccos: each Bloch phase takes the tangent of its half
+    angle (see `_isotropic_bloch`), and p0 = cos^2 alpha is taken as
+    1 / (1 + tan^2 alpha), three tan calls per sample in all.
     """
     u = np.ascontiguousarray(rng.random((size, 5)).T)
     a = _isotropic_bloch(u[0], u[1])
     b = _isotropic_bloch(u[2], u[3])
-    p0 = np.cos(HALF_PI * u[4])
+    p0 = np.tan(HALF_PI * u[4])
     p0 *= p0
+    p0 += 1.0
+    np.divide(1.0, p0, out=p0)
     out = np.empty((10, size))
     out[0] = 1.0
     # s = b + p0 (a - b),  C = b b^T + p0 (a a^T - b b^T)

@@ -40,10 +40,6 @@ STREAM_COUNTS = 0
 STREAM_OPTIMIZER = 1
 STREAM_PRIOR = 2
 
-# a count total is a 64-bit integer: the multinomial draw needs one, and
-# it keeps a result table's n ** 2.5 finite
-_MAX_N = 2 ** 63 - 1
-
 # linear-inversion estimator name -> li_pipeline recovery route
 LI_METHODS = {"li-xi": "xi", "li-moments": "moments"}
 
@@ -61,27 +57,30 @@ def stream_generator(master_seed, *path):
 def sample_counts(probs, n, seed):
     """Multinomial counts for n events with the given outcome probabilities.
 
-    n is a whole number in [0, 2^63 - 1], as an int, a numpy integer or
-    an integral float.  seed may be an integer, a SeedSequence or a
-    Generator (advanced in place, which is how cumulative schedules chain
-    increments).
+    probs is a non-empty vector of finite entries that are >= 0 and sum to
+    1, each to rounding.  n is a whole number in [0, 2^63 - 1], as an int,
+    a numpy integer or an integral float.  seed may be an integer, a
+    SeedSequence or a Generator (advanced in place, which is how cumulative
+    schedules chain increments).
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1:
         raise ValueError("probs must be a vector")
-    if np.min(probs) < -1e-12 or not np.all(np.isfinite(probs)):
+    if probs.size == 0:
+        raise ValueError("probs is empty: there is no outcome to count")
+    if not np.all(np.isfinite(probs)):
+        raise ValueError(f"probs holds a non-finite entry: {probs.tolist()}")
+    if np.min(probs) < -1e-12:
         raise ValueError("negative probability beyond tolerance")
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    # the chained test is false for nan and rejects inf before int()
-    if not (0 <= n <= _MAX_N and n == int(n)):
-        raise ValueError(f"n = {n!r} is not a whole number in [0, {_MAX_N}]")
+    n = _est._whole_number("n", n, 0)
     p = np.clip(probs, 0.0, None)
     p = p / p.sum()
     if n == 0:
         return np.zeros(probs.size, dtype=np.int64)
-    return _est._as_generator(seed).multinomial(int(n), p)
+    return _est._as_generator(seed).multinomial(n, p)
 
 
 @dataclass(frozen=True)

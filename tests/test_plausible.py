@@ -205,6 +205,18 @@ def test_prior_sampler_validation():
         plausibility(counts, "tetra", TRUTH, m=0, seed=0)
     with pytest.raises(ValueError):
         plausibility(counts, "tetra", TRUTH, m=10, seed=0, chunk_size=0)
+    # both are whole numbers, by the rule sample_counts applies to n
+    kw = dict(seed=3, chunk_size=128)
+    rep = plausibility(counts, "tetra", TRUTH, m=300, **kw)
+    assert plausibility(counts, "tetra", TRUTH, m=300.0, **kw) == rep
+    assert plausibility(counts, "tetra", TRUTH, m=np.int64(300), **kw) == rep
+    assert plausibility(counts, "tetra", TRUTH, m=300, seed=3,
+                        chunk_size=np.float64(128.0)) == rep
+    for bad in (2.5, math.nan, math.inf, "300", 2 ** 63):
+        with pytest.raises(ValueError, match="m = .* whole number"):
+            plausibility(counts, "tetra", TRUTH, m=bad, seed=0)
+        with pytest.raises(ValueError, match="chunk_size = .* whole number"):
+            plausibility(counts, "tetra", TRUTH, m=10, seed=0, chunk_size=bad)
 
 
 def test_sweep_validation():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ from pairtomo import (FEATURE_NAMES, ParamVector, PureQubit,
                       SymmetricTwoQubitState, ensemble_state, moment_features,
                       random_param_array)
 from pairtomo.qstate import (FEATURE_TRIPLETS, HALF_PI, TWO_PI,
-                             bloch_from_angles, canonical_phase,
-                             from_triplet_matrix, pair_ket_triplet,
+                             _isotropic_bloch, bloch_from_angles,
+                             canonical_phase, from_triplet_matrix,
+                             pair_ket_triplet, prior_features,
                              to_triplet_matrix)
 
 from conftest import (oracle_bloch, oracle_ket, oracle_rho4, oracle_triplet,
@@ -209,6 +211,49 @@ def test_random_param_array_distribution():
     # alpha uniform on [0, pi/2]
     se_a = HALF_PI / math.sqrt(12 * len(draws))
     assert abs(draws[:, 4].mean() - HALF_PI / 2) < 4 * se_a
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose next draw is the given rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def random(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
+
+
+# the largest uniform below 1
+_LAST = 1.0 - 2.0 ** -53
+
+
+def test_prior_features_tangent_edge_cases():
+    # u_phi = 1/2 puts the half angle at pi/2, where tan is about 1.6e16;
+    # 0 and the last uniform put each angle at the ends of its range.  A
+    # RuntimeWarning here (overflow, invalid) fails the test as an error.
+    lats = (0.0, 0.5, 0.3, _LAST)
+    phis = (0.0, 0.25, 0.5, 0.75, _LAST)
+    alphas = (0.0, 0.5, _LAST)
+    rows = np.array(list(itertools.product(lats, phis, lats, phis, alphas)))
+    features = prior_features(_FixedUniforms(rows), len(rows))
+    angles = random_param_array(_FixedUniforms(rows), len(rows))
+    np.testing.assert_allclose(features, moment_features(angles).T,
+                               rtol=0, atol=2e-15)
+
+    v = _isotropic_bloch(rows[:, 0], rows[:, 1])
+    assert (np.abs(np.linalg.norm(v, axis=0) - 1.0) <= 4 * 2.0 ** -52).all()
+    # on the equator at phi = pi: cos phi = -1 and sin phi = 0 to rounding
+    west = (rows[:, 0] == 0.5) & (rows[:, 1] == 0.5)
+    assert (v[0, west] == -1.0).all()
+    assert (np.abs(v[1:, west]) <= 2.0 ** -52).all()
+
+    # a at the north pole and b = (1, 0, 0) make s_z = p0 exactly
+    probe = (rows[:, 0] == 0.0) & (rows[:, 2] == 0.5) & (rows[:, 3] == 0.0)
+    p0 = features[3, probe]
+    assert ((0.0 <= p0) & (p0 <= 1.0)).all()
+    assert p0[rows[probe, 4] == 0.0].tolist() == [1.0] * len(phis)
+    assert (p0[rows[probe, 4] == _LAST] < 1e-30).all()
 
 
 def test_bloch_from_angles_validates():

@@ -32,9 +32,16 @@ def test_sample_counts_validation():
         sample_counts(np.array([0.5, 0.6]), 10, 0)
     with pytest.raises(ValueError):
         sample_counts(np.array([1.5, -0.5]), 10, 0)
+    # each input fault is named: not numpy's empty-reduction error, and not
+    # a nan read as a negative probability
+    with pytest.raises(ValueError, match="empty"):
+        sample_counts([], 5, 1)
+    for bad in ([math.nan, 1.0], [math.inf, 0.0], [0.5, -math.inf]):
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_counts(bad, 5, 1)
     # n is a whole number in [0, 2^63 - 1], never truncated or overflowed
-    for n in (-1, 5.5, 2 ** 70, 2.0 ** 63, math.nan, math.inf):
-        with pytest.raises(ValueError, match="whole number"):
+    for n in (-1, 5.5, 2 ** 70, 2.0 ** 63, math.nan, math.inf, "5", None):
+        with pytest.raises(ValueError, match="n = .* whole number"):
             sample_counts(np.array([0.5, 0.5]), n, 0)
     zero = sample_counts(np.array([0.5, 0.5]), 0, 0)
     assert zero.dtype == np.int64 and (zero == 0).all()
