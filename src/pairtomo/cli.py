@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .estimate import (_MAX_N, OptimizerConfig, _as_generator, li_pipeline,
-                       match_and_score, ml_decomposition, ml_estimate)
+from .estimate import (_MAX_N, OptimizerConfig, _as_generator, _whole_number,
+                       li_pipeline, match_and_score, ml_decomposition,
+                       ml_estimate)
 from .plausible import asymptotics, plausibility
 from .povm import get_povm
 from .qstate import (ParamVector, PureQubit, ensemble_state, moment_features,
@@ -175,8 +176,7 @@ class ExperimentConfig:
             if "ml" not in self.estimators:
                 raise ValueError("plausibility needs the 'ml' estimator "
                                  "(the threshold anchors at theta_ML)")
-            if self.plausibility_m < 1:
-                raise ValueError("plausibility m must be >= 1")
+            _whole_number("plausibility.m", self.plausibility_m, 1)
             missing = [n for n in self.plausibility_checkpoints
                        if n not in self.n_schedule]
             if missing:

@@ -20,9 +20,10 @@ Two estimator families operate on a vector of detection counts:
   with cumulative step-size control); the box is handled by a smooth
   wrap: phi angles are periodic mod 2pi and theta/alpha reflect off the
   box edges, which leaves the objective continuous on all of R^5.
-  `ml_estimates` fits several tables together: the fits advance in
-  lockstep, one generation per tick, and each result equals fitting its
-  table alone with `ml_estimate`, bit for bit.
+  `ml_estimates` fits several tables together: each fit owns one row of
+  fixed stacked arrays, its restarts re-seed that row in place, the fits
+  advance in lockstep, one generation per tick, and each result equals
+  fitting its table alone with `ml_estimate`, bit for bit.
 
 The likelihood omits the multinomial combinatorial factor throughout; it
 cancels from every ratio and every location of the optimum.
@@ -30,7 +31,6 @@ cancels from every ratio and every location of the optimum.
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,9 +102,30 @@ def _batch_objective(counts, povm):
 # --------------------------------------------------------------------------
 # Maximum likelihood
 
+# a count or sample total is a 64-bit integer: the multinomial draw needs
+# one, and it keeps a result table's n ** 2.5 finite
+_MAX_N = 2 ** 63 - 1
+
+
+def _whole_number(name, value, low):
+    """value as an int if it is a whole number in [low, 2^63 - 1]: an int, a
+    numpy integer or an integral float.  Anything else, bool, nan, inf and
+    strings included, is a ValueError that names the argument."""
+    # the chained test is false for nan and rejects inf before int()
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and low <= value <= _MAX_N and value == int(value)):
+        raise ValueError(
+            f"{name} = {value!r} is not a whole number in [{low}, {_MAX_N}]")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Evolution-strategy settings for ml_estimate and ml_estimates."""
+    """Evolution-strategy settings for ml_estimate and ml_estimates.
+
+    Checked on construction: the counts are whole numbers (stored as int),
+    sigma0 and tol finite and positive.
+    """
 
     population: int = 12
     sigma0: float = 0.3
@@ -114,14 +135,18 @@ class OptimizerConfig:
     seed: object = None
 
     def __post_init__(self):
-        if self.population < 4:
-            raise ValueError("population must be at least 4")
-        if not (self.sigma0 > 0 and self.tol > 0):
-            raise ValueError("sigma0 and tol must be positive")
+        for name, low in (("population", 4), ("max_evaluations", 1),
+                          ("restarts", 1)):
+            object.__setattr__(self, name,
+                               _whole_number(name, getattr(self, name), low))
+        for name in ("sigma0", "tol"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real)
+                    and not isinstance(value, bool) and 0 < value < math.inf):
+                raise ValueError(f"{name} = {value!r} is not finite "
+                                 "and positive")
         if self.max_evaluations < self.population:
             raise ValueError("max_evaluations smaller than one generation")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -134,23 +159,6 @@ class MlEstimate:
     n_evaluations: int
 
 
-# a count or sample total is a 64-bit integer: the multinomial draw needs
-# one, and it keeps a result table's n ** 2.5 finite
-_MAX_N = 2 ** 63 - 1
-
-
-def _whole_number(name, value, low):
-    """value as an int if it is a whole number in [low, 2^63 - 1]: an int, a
-    numpy integer or an integral float.  Anything else, nan, inf and
-    strings included, is a ValueError that names the argument."""
-    # the chained test is false for nan and rejects inf before int()
-    if not (isinstance(value, numbers.Real) and low <= value <= _MAX_N
-            and value == int(value)):
-        raise ValueError(
-            f"{name} = {value!r} is not a whole number in [{low}, {_MAX_N}]")
-    return int(value)
-
-
 def _as_generator(seed):
     """Philox Generator from an int, SeedSequence or None; a Generator as is."""
     if isinstance(seed, np.random.Generator):
@@ -160,61 +168,27 @@ def _as_generator(seed):
         else np.random.SeedSequence(seed)))
 
 
-class _Fit:
-    """One fit's sequential state: generator, restarts, budget, best point.
-
-    The stacked strategy state (mean, step size, covariance, paths) lives
-    in `ml_estimates`; this holds what is per fit and scalar.
-    """
-
-    def __init__(self, objective, rng, restarts):
-        self.objective = objective
-        self.rng = rng
-        self.restarts_left = restarts
-        self.best_x = None
-        self.best_f = np.inf
-        self.converged = False
-        self.total_evals = 0
-        # the running restart
-        self.run_x = None
-        self.run_f = np.inf
-        self.evals = 0
-        self.gen = 0
-        self.hist = None
-
-    def start_restart(self, x_folded, f, hist_len):
-        self.restarts_left -= 1
-        self.run_x = x_folded.copy()
-        self.run_f = f
-        self.evals = 1
-        self.gen = 0
-        self.hist = deque(maxlen=hist_len)
-
-    def end_restart(self, converged):
-        self.total_evals += self.evals
-        self.converged = self.converged or converged
-        if self.run_f < self.best_f:
-            self.best_f = self.run_f
-            self.best_x = self.run_x
-
-    def result(self):
-        return MlEstimate(ParamVector.from_array(self.best_x),
-                          float(self.best_f), self.converged, self.total_evals)
-
-
 def ml_estimates(tables, povm, opt=None, seeds=None):
     """Maximum-likelihood estimates of several count tables, fitted together.
 
     Result k is bit for bit the `ml_estimate` of tables[k] alone with
     seed seeds[k] (default: opt.seed for every table).  Each fit keeps
-    its own generator, restart sequence, budget and convergence test; the
-    fits advance in lockstep, one generation per tick, so that the
-    covariance eigendecompositions, `fold_params` and `moment_features`
-    run once per tick on the stacked (K, population, 5) population while
-    the objective still runs per fit on that fit's rows.  Every step is
-    either elementwise or a per-slice LAPACK/BLAS call of the same shape
-    as in a lone fit, and the scalar updates stay per-fit Python floats,
-    which keeps the arithmetic identical.
+    its own generator, restart sequence and convergence test, and owns
+    one row of the stacked strategy state (mean, step size, covariance,
+    paths, best point of the running restart, generation, trailing window
+    of best objectives) for the whole call.  The fits advance in
+    lockstep, one generation per tick, so that the covariance
+    eigendecompositions, `fold_params` and `moment_features` run once per
+    tick on the stacked (K, population, 5) population while the objective
+    still runs per fit on that fit's rows.  A restart that ends re-seeds
+    its row in place before the next tick; a fit with no restart left
+    gives up its row.  Every step is either elementwise or a per-slice
+    LAPACK/BLAS call of the same shape as in a lone fit, and the norm,
+    pow and exp stay per-fit Python floats, which keeps the arithmetic
+    identical.
+
+    Every restart gets the same budget of whole generations, so a restart
+    costs 1 + population * generations evaluations.
 
     One Generator object cannot seed two tables of a batch: its draws
     would interleave across the fits and no longer match lone fits.
@@ -230,14 +204,14 @@ def ml_estimates(tables, povm, opt=None, seeds=None):
     if len(set(shared)) < len(shared):
         raise ValueError("one Generator seeds several tables of a batch; "
                          "give each table its own seed (e.g. a SeedSequence)")
-    fits = [_Fit(_batch_objective(c, povm), _as_generator(s), opt.restarts)
-            for c, s in zip(tables, seeds)]
+    objectives = [_batch_objective(c, povm) for c in tables]
+    rngs = [_as_generator(s) for s in seeds]
 
     # (mu/mu_w, lambda) strategy with rank-one plus rank-mu covariance
     # updates and cumulative step-size adaptation (Hansen, arXiv:1604.00772)
     n = 5
     popsize = opt.population
-    budget = opt.max_evaluations // opt.restarts
+    max_gen = (opt.max_evaluations // opt.restarts - 1) // popsize
     mu = popsize // 2
     weights = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1))
     weights = weights / weights.sum()
@@ -253,104 +227,111 @@ def ml_estimates(tables, povm, opt=None, seeds=None):
     hsig_bound = 1.4 + 2.0 / (n + 1.0)
     hist_len = 10 + math.ceil(30.0 * n / popsize)
 
-    # stacked state of the fits running a generation, row k <-> live[k]
-    live = []
-    mean = np.empty((0, n))
-    sigma = np.empty(0)
-    cov = np.empty((0, n, n))
-    ps = np.empty((0, n))
-    pc = np.empty((0, n))
-    pending = list(fits)
-    while pending or live:
-        # start restarts; one whose budget holds no generation ends at once
-        while pending:
-            x0 = np.array([random_param_array(fit.rng, 1)[0] for fit in pending])
+    # per fit, indexed by fit id
+    n_fits = len(tables)
+    restarts_left = np.full(n_fits, opt.restarts)
+    evaluations = np.zeros(n_fits, dtype=np.int64)
+    converged = np.zeros(n_fits, dtype=bool)
+    best_f = np.full(n_fits, np.inf)
+    best_x = np.zeros((n_fits, n))
+    # per row: the running restart of fit ids[row]
+    ids = np.arange(n_fits)
+    mean, ps, pc, run_x = (np.zeros((n_fits, n)) for _ in range(4))
+    cov = np.zeros((n_fits, n, n))
+    sigma, run_f = np.zeros(n_fits), np.zeros(n_fits)
+    gen = np.zeros(n_fits, dtype=np.int64)
+    # column tick % hist_len holds every row's run_f of that tick: all rows
+    # advance together, so a row's last hist_len generations are the last
+    # hist_len columns
+    hist = np.zeros((n_fits, hist_len))
+    tick = 0
+    # rows whose restart has ended start the next one; at first, every row
+    ended = np.ones(n_fits, dtype=bool)
+    while ids.size:
+        if ended.any():
+            rows = np.flatnonzero(ended)
+            x0 = np.array([random_param_array(rngs[i], 1)[0] for i in ids[rows]])
             x0f = fold_params(x0)
             feats = moment_features(x0f)
-            started, again = [], []
-            for j, fit in enumerate(pending):
-                f0 = fit.objective(feats[j][None, :])
-                fit.start_restart(x0f[j], float(f0[0]), hist_len)
-                if fit.evals + popsize <= budget:
-                    started.append(j)
-                else:
-                    fit.end_restart(False)
-                    if fit.restarts_left:
-                        again.append(fit)
-            if started:
-                k = len(started)
-                live += [pending[j] for j in started]
-                mean = np.concatenate([mean, x0[started]])
-                sigma = np.concatenate([sigma, np.full(k, float(opt.sigma0))])
-                cov = np.concatenate([cov, np.broadcast_to(np.eye(n), (k, n, n))])
-                ps = np.concatenate([ps, np.zeros((k, n))])
-                pc = np.concatenate([pc, np.zeros((k, n))])
-            pending = again
-        if not live:
-            break
+            run_f[rows] = [objectives[i](row[None, :])[0]
+                           for i, row in zip(ids[rows], feats)]
+            run_x[rows] = x0f
+            mean[rows] = x0
+            sigma[rows] = opt.sigma0
+            cov[rows] = np.eye(n)
+            ps[rows] = pc[rows] = 0.0
+            gen[rows] = 0
+            restarts_left[ids[rows]] -= 1
 
-        # one generation of every live fit
-        eigvals, basis = np.linalg.eigh(cov)
-        eigvals = np.maximum(eigvals, 1e-20)
-        d = np.sqrt(eigvals)
-        k_live = len(live)
-        z = np.empty((k_live, popsize, n))
-        for k, fit in enumerate(live):
-            fit.rng.standard_normal(out=z[k])
-        y = z @ (basis * d[:, None, :]).transpose(0, 2, 1)
-        x = mean[:, None, :] + sigma[:, None, None] * y
-        xf = fold_params(x)
-        feats = moment_features(xf)
-        f = np.empty((k_live, popsize))
-        for k, fit in enumerate(live):
-            f[k] = fit.objective(feats[k])
-        order = np.argsort(f, axis=1, kind="stable")
-        y_sel = y[np.arange(k_live)[:, None], order[:, :mu]]
-        y_w = weights @ y_sel
-        mean = mean + sigma[:, None] * y_w
-        inv_sqrt = (basis / d[:, None, :]) @ basis.transpose(0, 2, 1)
-        ps = (1.0 - cs) * ps + c_ps * (inv_sqrt @ y_w[:, :, None])[:, :, 0]
-        # per fit: the norm (as np.linalg.norm computes it), pow and exp
-        # must not be batched, since their vectorized kernels round
-        # differently
-        ps_norm = [math.sqrt(row.dot(row)) for row in ps]
-        hsig = []
-        for k, fit in enumerate(live):
-            fit.gen += 1
-            fit.evals += popsize
-            best = order[k, 0]
-            if f[k, best] < fit.run_f:
-                fit.run_f = float(f[k, best])
-                fit.run_x = xf[k, best].copy()
-            hsig.append(ps_norm[k] / math.sqrt(1.0 - (1.0 - cs) ** (2.0 * fit.gen))
-                        / chi_n < hsig_bound)
-        pc = (1.0 - cc) * pc + np.array([h * c_pc for h in hsig])[:, None] * y_w
-        rank1 = (pc[:, :, None] * pc[:, None, :]
-                 + np.array([0.0 if h else cc * (2.0 - cc) for h in hsig])[:, None, None]
-                 * cov)
-        rank_mu = y_sel.transpose(0, 2, 1) @ (weights[:, None] * y_sel)
-        cov = (1.0 - c1 - cmu) * cov + c1 * rank1 + cmu * rank_mu
-        cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-        sigma = sigma * np.array([math.exp((cs / damps) * (v / chi_n - 1.0))
-                                  for v in ps_norm])
+        # one generation of every fit, if the budget holds one
+        k = len(ids)
+        done = np.zeros(k, dtype=bool)
+        if max_gen > 0:
+            eigvals, basis = np.linalg.eigh(cov)
+            eigvals = np.maximum(eigvals, 1e-20)
+            d = np.sqrt(eigvals)
+            z = np.empty((k, popsize, n))
+            for out, i in zip(z, ids):
+                rngs[i].standard_normal(out=out)
+            y = z @ (basis * d[:, None, :]).transpose(0, 2, 1)
+            x = mean[:, None, :] + sigma[:, None, None] * y
+            xf = fold_params(x)
+            feats = moment_features(xf)
+            f = np.array([objectives[i](block) for i, block in zip(ids, feats)])
+            order = np.argsort(f, axis=1, kind="stable")
+            rows = np.arange(k)
+            y_sel = y[rows[:, None], order[:, :mu]]
+            y_w = weights @ y_sel
+            mean = mean + sigma[:, None] * y_w
+            inv_sqrt = (basis / d[:, None, :]) @ basis.transpose(0, 2, 1)
+            ps = (1.0 - cs) * ps + c_ps * (inv_sqrt @ y_w[:, :, None])[:, :, 0]
+            gen += 1
+            f_best = f[rows, order[:, 0]]
+            better = f_best < run_f
+            np.copyto(run_f, f_best, where=better)
+            np.copyto(run_x, xf[rows, order[:, 0]], where=better[:, None])
+            # per fit: the norm (as np.linalg.norm computes it), pow and exp
+            # must not be batched, since their vectorized kernels round
+            # differently
+            ps_norm = [math.sqrt(row.dot(row)) for row in ps]
+            hsig = [v / math.sqrt(1.0 - (1.0 - cs) ** (2.0 * g)) / chi_n
+                    < hsig_bound for v, g in zip(ps_norm, gen.tolist())]
+            pc = (1.0 - cc) * pc + np.array([h * c_pc for h in hsig])[:, None] * y_w
+            rank1 = (pc[:, :, None] * pc[:, None, :]
+                     + np.array([0.0 if h else cc * (2.0 - cc) for h in hsig])[:, None, None]
+                     * cov)
+            rank_mu = y_sel.transpose(0, 2, 1) @ (weights[:, None] * y_sel)
+            cov = (1.0 - c1 - cmu) * cov + c1 * rank1 + cmu * rank_mu
+            cov = 0.5 * (cov + cov.transpose(0, 2, 1))
+            sigma = sigma * np.array([math.exp((cs / damps) * (v / chi_n - 1.0))
+                                      for v in ps_norm])
 
-        # convergence: the best objective over a trailing window spans less
-        # than tol, or the step size has collapsed
-        keep = np.ones(k_live, dtype=bool)
-        for k, fit in enumerate(live):
-            fit.hist.append(fit.run_f)
-            done = ((len(fit.hist) == hist_len
-                     and max(fit.hist) - min(fit.hist) < opt.tol)
-                    or sigma[k] * math.sqrt(float(eigvals[k].max())) < 1e-13)
-            if done or fit.evals + popsize > budget:
-                fit.end_restart(done)
-                keep[k] = False
-                if fit.restarts_left:
-                    pending.append(fit)
-        if not keep.all():
-            live = [fit for fit, kept in zip(live, keep) if kept]
-            mean, sigma, cov, ps, pc = (a[keep] for a in (mean, sigma, cov, ps, pc))
-    return [fit.result() for fit in fits]
+            # converged: the best objective over a trailing window spans
+            # less than tol, or the step size has collapsed.  run_f never
+            # rises within a restart, so the window's span is its oldest
+            # entry minus its newest; eigh sorts eigvals ascending.
+            hist[:, tick % hist_len] = run_f
+            tick += 1
+            done = (((gen >= hist_len)
+                     & (hist[:, tick % hist_len] - run_f < opt.tol))
+                    | (sigma * np.sqrt(eigvals[:, -1]) < 1e-13))
+
+        # end restarts; a fit with none left gives up its row
+        ended = done | (gen >= max_gen)
+        if ended.any():
+            i = ids[ended]
+            evaluations[i] += 1 + popsize * gen[ended]
+            converged[i] |= done[ended]
+            improved = run_f[ended] < best_f[i]
+            best_f[i[improved]] = run_f[ended][improved]
+            best_x[i[improved]] = run_x[ended][improved]
+            keep = ~ended | (restarts_left[ids] > 0)
+            if not keep.all():
+                ids, mean, sigma, cov, ps, pc, run_x, run_f, gen, hist, ended = (
+                    a[keep] for a in (ids, mean, sigma, cov, ps, pc, run_x,
+                                      run_f, gen, hist, ended))
+    return [MlEstimate(ParamVector.from_array(x), float(f), bool(c), int(e))
+            for x, f, c, e in zip(best_x, best_f, converged, evaluations)]
 
 
 def ml_estimate(counts, povm, opt=None):

@@ -318,6 +318,18 @@ def test_simulate_bad_config_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_plausibility_m_beyond_int64_is_a_config_error(tmp_path, capsys):
+    # refused at load, before any fit runs, not by the sweep after them
+    pl = {"enabled": True, "m": 2 ** 63, "checkpoints": [100]}
+    data = base_config(estimators=["ml"], plausibility=pl)
+    with pytest.raises(UsageError, match="plausibility.m = .* whole number"):
+        ExperimentConfig.from_dict(data)
+    assert main(["simulate", "--config", write_config(tmp_path, data)]) == 2
+    assert "plausibility.m" in capsys.readouterr().err
+    pl["m"] = 2 ** 63 - 1
+    assert ExperimentConfig.from_dict(data).plausibility_m == 2 ** 63 - 1
+
+
 # --------------------------------------------------------------------------
 # estimate
 

@@ -212,7 +212,7 @@ def test_prior_sampler_validation():
     assert plausibility(counts, "tetra", TRUTH, m=np.int64(300), **kw) == rep
     assert plausibility(counts, "tetra", TRUTH, m=300, seed=3,
                         chunk_size=np.float64(128.0)) == rep
-    for bad in (2.5, math.nan, math.inf, "300", 2 ** 63):
+    for bad in (2.5, math.nan, math.inf, "300", 2 ** 63, True):
         with pytest.raises(ValueError, match="m = .* whole number"):
             plausibility(counts, "tetra", TRUTH, m=bad, seed=0)
         with pytest.raises(ValueError, match="chunk_size = .* whole number"):

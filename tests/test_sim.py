@@ -40,7 +40,8 @@ def test_sample_counts_validation():
         with pytest.raises(ValueError, match="non-finite"):
             sample_counts(bad, 5, 1)
     # n is a whole number in [0, 2^63 - 1], never truncated or overflowed
-    for n in (-1, 5.5, 2 ** 70, 2.0 ** 63, math.nan, math.inf, "5", None):
+    for n in (-1, 5.5, 2 ** 70, 2.0 ** 63, math.nan, math.inf, "5", None,
+              True):
         with pytest.raises(ValueError, match="n = .* whole number"):
             sample_counts(np.array([0.5, 0.5]), n, 0)
     zero = sample_counts(np.array([0.5, 0.5]), 0, 0)
