@@ -62,14 +62,6 @@ class UsageError(Exception):
     """Bad invocation, config or input file; maps to exit code 2."""
 
 
-def _as_int(value, name):
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _as_float(value, name):
     if isinstance(value, bool) or not (isinstance(value, (int, float))
                                        and abs(value) <= sys.float_info.max):
@@ -153,14 +145,21 @@ class ExperimentConfig:
         get_povm(self.povm)
         if not isinstance(self.source, ParamVector):
             raise ValueError("source must be a ParamVector")
+        # every whole-number field by one rule, stored as int
+        for field, name, low in (("runs", "runs", 1),
+                                 ("plausibility_m", "plausibility.m", 1),
+                                 ("master_seed", "master_seed", 0)):
+            object.__setattr__(self, field,
+                               _whole_number(name, getattr(self, field), low))
+        for field, name in (("n_schedule", "n_schedule entry"),
+                            ("plausibility_checkpoints",
+                             "plausibility checkpoint")):
+            object.__setattr__(self, field, tuple(
+                _whole_number(name, n, 1) for n in getattr(self, field)))
         if not self.n_schedule:
             raise ValueError("n_schedule must not be empty")
-        if any(not 1 <= n <= _MAX_N for n in self.n_schedule):
-            raise ValueError(f"n_schedule entries must lie in [1, {_MAX_N}]")
         if any(b <= a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
             raise ValueError("n_schedule must be strictly increasing")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
         if not self.estimators:
             raise ValueError("at least one estimator is required")
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
@@ -176,7 +175,6 @@ class ExperimentConfig:
             if "ml" not in self.estimators:
                 raise ValueError("plausibility needs the 'ml' estimator "
                                  "(the threshold anchors at theta_ML)")
-            _whole_number("plausibility.m", self.plausibility_m, 1)
             missing = [n for n in self.plausibility_checkpoints
                        if n not in self.n_schedule]
             if missing:
@@ -187,8 +185,6 @@ class ExperimentConfig:
             if any(b <= a for a, b in pairs):
                 raise ValueError("plausibility checkpoints must be "
                                  "strictly increasing")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
         if self.out_dir is not None and not (isinstance(self.out_dir, str)
                                              and self.out_dir):
             raise ValueError("output path must be a non-empty string, "
@@ -214,24 +210,20 @@ class ExperimentConfig:
             return cls(
                 povm=str(data["povm"]),
                 source=_parse_source(data),
-                n_schedule=tuple(_as_int(n, "n_schedule entry") for n in
-                                 _as_list(data["n_schedule"], "n_schedule")),
-                runs=_as_int(data.get("runs", 1), "runs"),
+                n_schedule=tuple(_as_list(data["n_schedule"], "n_schedule")),
+                runs=data.get("runs", 1),
                 estimators=tuple(str(e) for e in _as_list(
                     data.get("estimators", ["li-xi", "ml"]), "estimators")),
                 optimizer=OptimizerConfig(**{
-                    k: _as_int(v, f"optimizer.{k}") if k in _OPTIMIZER_COUNTS
+                    k: _whole_number(f"optimizer.{k}", v, 1)
+                    if k in _OPTIMIZER_COUNTS
                     else _as_float(v, f"optimizer.{k}")
                     for k, v in opt.items()}),
                 plausibility_enabled=pl.get("enabled", False),
-                plausibility_m=_as_int(pl.get("m", DEFAULT_M),
-                                       "plausibility.m"),
-                plausibility_checkpoints=tuple(
-                    _as_int(n, "plausibility checkpoint")
-                    for n in _as_list(pl.get("checkpoints", []),
-                                      "plausibility.checkpoints")),
-                master_seed=_as_int(data.get("master_seed", 0),
-                                    "master_seed"),
+                plausibility_m=pl.get("m", DEFAULT_M),
+                plausibility_checkpoints=tuple(_as_list(
+                    pl.get("checkpoints", []), "plausibility.checkpoints")),
+                master_seed=data.get("master_seed", 0),
                 out_dir=out.get("path"),
                 out_format=str(out.get("format", "csv")),
             )
@@ -433,7 +425,8 @@ def _row_number(row, key, parse=float):
 
 
 def _row_int(value):
-    return _as_int(int(value) if isinstance(value, str) else value, "cell")
+    return _whole_number("cell", int(value) if isinstance(value, str)
+                         else value, 0)
 
 
 # --------------------------------------------------------------------------
@@ -472,10 +465,12 @@ def _threads(args):
 
 
 def _seed(args):
-    """--seed of estimate and plausible, default 0; never negative."""
-    if args.seed is not None and args.seed < 0:
-        raise UsageError(f"--seed must be non-negative, got {args.seed}")
-    return args.seed or 0
+    """--seed of estimate and plausible, default 0; a whole number in
+    [0, 2^63 - 1], as the config's master_seed."""
+    try:
+        return _whole_number("--seed", args.seed or 0, 0)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _log(args):
@@ -770,7 +765,7 @@ def _add_common(sub, seeded=True):
         sub.add_argument("--threads", type=int, metavar="K",
                          help="plausibility sweep processes (default or 0: "
                               "all cores); results do not depend on it")
-        sub.add_argument("--seed", type=int, metavar="U64",
+        sub.add_argument("--seed", type=int, metavar="SEED",
                          help="master seed (overrides the config for simulate)")
     sub.add_argument("--verbose", action="store_true",
                      help="name each file written on stderr; plausible "

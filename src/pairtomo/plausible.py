@@ -44,11 +44,25 @@ memory stays bounded for any M.  Chunks own SeedSequence-derived
 substreams and are reduced in chunk order, which makes reports bitwise
 reproducible for any worker count at fixed (seed, chunk_size).
 
-Division by L(theta_ML) keeps the log ratios near zero for typical
-samples; with N counts the raw log likelihoods sit around -N log K and
-would underflow any direct exponentiation.  Ratios that still underflow
-to 0 are legitimate (deep in the implausible tail); only an all-zero
-sample aborts, advising a larger M or smaller N.
+The prior pass is anchored at the data, not at theta_ML: the kernel
+divides by the saturated likelihood L_sat = prod over n_j > 0 of
+(n_j/N)^n_j, which depends on the counts alone, and sees
+
+    lambda'(theta) = L(theta) / L_sat <= 1
+
+(Gibbs' inequality).  In exact arithmetic the threshold test, the size
+and the credibility are the same for any anchor; lambda_pl and its
+standard error are multiplied by L_sat / L(theta_ML) once the sums are
+reduced, which leaves them within rounding of a theta_ML-anchored
+pass.  So the pass needs no ML fit, and `simulate` runs it beside its
+fits.  The anchor keeps the log ratios near zero for typical samples;
+with N counts the raw log likelihoods sit around -N log K and would
+underflow any direct exponentiation.  Ratios that still underflow to 0
+are legitimate (deep in the implausible tail); only an all-zero sample
+aborts, advising a larger M or smaller N.  No ratio to theta_ML is
+capped: for a caller's theta_ML far below the likelihood maximum,
+lambda_pl can exceed 1, and a lambda_pl beyond the float range is a
+ValueError that names the checkpoint.
 
 Size and credibility estimates are scale errors of order 1/sqrt(M); the
 attached standard errors come from the per-sample moment sums (delta
@@ -56,6 +70,7 @@ method for the credibility ratio), treating the threshold as fixed.
 """
 
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -69,8 +84,12 @@ from .qstate import prior_features
 # per-outcome stand-in for log 0: large enough that any observed count
 # drives lambda to exact 0, finite so that 0*log(0) products stay 0
 LOG_ZERO = -1e12
-# cap on log lambda: keeps lambda**2 finite even for a suboptimal theta_ml
+# cap on log lambda: keeps lambda**2 finite for any anchor.  The sweep
+# anchors at the saturated likelihood, where log lambda <= 0 up to
+# rounding, so the cap never binds there
 LOG_CAP = 300.0
+# largest x with a finite exp(x)
+_LOG_MAX = math.log(sys.float_info.max)
 
 DEFAULT_CHUNK = 100_000
 # lambda candidates held between the prior pass and the threshold (4 MiB)
@@ -184,6 +203,119 @@ class PlausibilityReport:
     truth_plausible: object = None
 
 
+def _chunk_pool(workers, m, chunk_size):
+    """A pool of min(workers, chunks) processes for a sweep of m samples,
+    or a null context (whose target is None) when that is one process."""
+    workers = min(workers or 1, -(-m // chunk_size))
+    return ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
+
+
+def _log_likelihoods_ml(counts_mat, theta_ml_list, povm):
+    """log L(theta_ML) of each table; ValueError where it is zero."""
+    logl_ml = np.zeros(len(counts_mat))
+    for i, theta_ml in enumerate(theta_ml_list):
+        ll = log_likelihood(theta_ml, counts_mat[i], povm)
+        if not math.isfinite(ll):
+            raise ValueError(f"theta_ml for checkpoint {i} has zero likelihood")
+        logl_ml[i] = ll
+    return logl_ml
+
+
+def _sweep_counts(counts_mat, povm, m, seed, chunk_size, pool):
+    """The data-only step of a sweep: chunks, candidates and replays.
+
+    The kernel is anchored at L_sat, so it sees lambda' = L(theta)/L_sat.
+    Returns (first, second, log_sat): first[i] = (sum lambda', sum
+    lambda'^2, count lambda' > 0) and second[i] = (count, sum, sum of
+    squares) of the lambda' above their mean, for table i.  Chunks run
+    on `pool`, or in-process when it is None.
+    """
+    # log L_sat = sum over n_j > 0 of n_j log(n_j / N), the largest log
+    # likelihood any outcome distribution gives a table's counts
+    log_sat = np.array([n @ np.log(n / n.sum())
+                        for n in (c[c > 0] for c in counts_mat)])
+    n_chunks = -(-m // chunk_size)
+    children = _chunk_children(seed, n_chunks)
+    tasks = [(children[k], min(chunk_size, m - k * chunk_size), povm.name,
+              counts_mat, log_sat, m) for k in range(n_chunks)]
+    run = map if pool is None else pool.map
+    first, kept = _keep_candidates(run(_chunk_stats, tasks), m)
+    for i, counts in enumerate(counts_mat):
+        if first[i, 2] == 0:
+            raise DegenerateSampleError(
+                f"all {m} likelihood ratios are 0 at N = {int(counts.sum())}; "
+                "increase the sample count or evaluate a smaller N")
+    lambda_pl = first[:, 0] / m
+
+    replays = run(_chunk_stats,
+                  [t for t, cands in zip(tasks, kept) if cands is None])
+    second = np.zeros((len(counts_mat), 3))
+    for cands in kept:
+        if cands is None:
+            cands = next(replays)[1]
+        for i, c in enumerate(cands):
+            above = c[c > lambda_pl[i]]
+            second[i] += (above.size, above.sum(), float(above @ above))
+    return first, second, log_sat
+
+
+def _times_exp(x, log_factor):
+    """x * exp(log_factor) for x >= 0, inf where the product overflows.
+    The factor overflows first, from log_factor = _LOG_MAX on; there the
+    product is taken in logs."""
+    with np.errstate(over="ignore", divide="ignore"):
+        if log_factor <= _LOG_MAX:
+            return float(x * np.exp(log_factor))
+        return float(np.exp(np.log(x) + log_factor))
+
+
+def _anchored_reports(counts_mat, povm, theta_ml_list, logl_ml, sweep, m,
+                      truth):
+    """Reports of a data-only sweep, moved to the anchor L(theta_ML).
+
+    Size and credibility, and the credibility's error bar, are the same
+    for any anchor; lambda_pl and its error bar are multiplied by
+    L_sat/L(theta_ML).  A lambda_pl that overflows is a ValueError.
+    """
+    first, second, log_sat = sweep
+    reports = []
+    # lam_pl and se_lam in units of L_sat until the last step
+    for i, counts in enumerate(counts_mat):
+        sum_lam, sum_lam_sq, _ = first[i]
+        n_above, sum_above, sum_sq_above = second[i]
+        lam_pl = float(sum_lam / m)
+        size = float(n_above) / m
+        cred = float(sum_above / sum_lam)
+        var_lam = max(sum_lam_sq / m - lam_pl ** 2, 0.0)
+        se_lam = math.sqrt(var_lam / m)
+        se_size = math.sqrt(max(size * (1.0 - size), 0.0) / m)
+        # credibility is the ratio mean(lam*chi)/mean(lam): delta method
+        a = sum_above / m
+        var_a = max(sum_sq_above / m - a ** 2, 0.0)
+        cov_ab = sum_sq_above / m - a * lam_pl
+        denom = lam_pl * lam_pl
+        if denom > 0.0:
+            var_c = (var_a - 2.0 * cred * cov_ab + cred ** 2 * var_lam) / denom
+            se_cred = math.sqrt(max(var_c, 0.0) / m)
+        else:
+            # threshold so small its square underflows: no usable error bar
+            se_cred = math.inf
+        gap = log_sat[i] - logl_ml[i]
+        lambda_pl = _times_exp(lam_pl, gap)
+        if not math.isfinite(lambda_pl):
+            raise ValueError(
+                f"lambda_pl for checkpoint {i} overflows: theta_ml lies "
+                f"{gap:.6g} below the largest log likelihood of its counts")
+        plausible = None
+        if truth is not None:
+            plausible = is_plausible(truth, counts, theta_ml_list[i],
+                                     lambda_pl, povm)
+        reports.append(PlausibilityReport(
+            int(counts.sum()), lambda_pl, size, cred, m,
+            _times_exp(se_lam, gap), se_size, se_cred, plausible))
+    return reports
+
+
 def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed, truth=None,
                        chunk_size=DEFAULT_CHUNK, workers=None):
     """Plausible-region reports for several checkpoints of one count stream.
@@ -195,80 +327,25 @@ def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed, truth=None,
     separate calls.  Every table must hold counts: an all-zero one raises
     EmptyDataError, as in the other estimators.  m and chunk_size are
     whole numbers >= 1, as ints, numpy integers or integral floats.
+
+    The prior pass needs the counts alone: it is anchored at the
+    saturated likelihood L_sat, and only its reduced sums are moved to
+    the anchor L(theta_ML) afterwards.  Ratios to theta_ML are not
+    capped: a theta_ML far below the likelihood maximum can give
+    lambda_pl > 1, and a lambda_pl that overflows a float raises
+    ValueError naming the checkpoint.
     """
     povm = get_povm(povm)
     if len(counts_list) != len(theta_ml_list):
         raise ValueError("one theta_ml per counts vector is required")
     m = _whole_number("m", m, 1)
     chunk_size = _whole_number("chunk_size", chunk_size, 1)
-    workers = workers if workers else 1
     counts_mat = np.array([povm.validate_counts(c) for c in counts_list])
-    totals = counts_mat.sum(axis=1)
-
-    logl_ml = np.zeros(len(counts_mat))
-    for i, theta_ml in enumerate(theta_ml_list):
-        ll = log_likelihood(theta_ml, counts_mat[i], povm)
-        if not math.isfinite(ll):
-            raise ValueError(f"theta_ml for checkpoint {i} has zero likelihood")
-        logl_ml[i] = ll
-
-    n_chunks = -(-m // chunk_size)
-    children = _chunk_children(seed, n_chunks)
-    tasks = [(children[k], min(chunk_size, m - k * chunk_size), povm.name,
-              counts_mat, logl_ml, m) for k in range(n_chunks)]
-
-    workers = min(workers, n_chunks)
-    with (ProcessPoolExecutor(workers) if workers > 1 else nullcontext()) as pool:
-        run = map if pool is None else pool.map
-        first, kept = _keep_candidates(run(_chunk_stats, tasks), m)
-        sum_lam = first[:, 0]
-        sum_lam_sq = first[:, 1]
-        for i in range(len(counts_mat)):
-            if first[i, 2] == 0:
-                raise DegenerateSampleError(
-                    f"all {m} likelihood ratios are 0 at N = {int(totals[i])}; "
-                    "increase the sample count or evaluate a smaller N")
-        lambda_pl = sum_lam / m
-
-        replays = run(_chunk_stats,
-                      [t for t, cands in zip(tasks, kept) if cands is None])
-        second = np.zeros((len(counts_mat), 3))
-        for cands in kept:
-            if cands is None:
-                cands = next(replays)[1]
-            for i, c in enumerate(cands):
-                above = c[c > lambda_pl[i]]
-                second[i] += (above.size, above.sum(), float(above @ above))
-    n_above = second[:, 0]
-    sum_above = second[:, 1]
-    sum_sq_above = second[:, 2]
-
-    reports = []
-    for i in range(len(counts_mat)):
-        lam_pl = float(lambda_pl[i])
-        size = float(n_above[i]) / m
-        cred = float(sum_above[i] / sum_lam[i])
-        var_lam = max(sum_lam_sq[i] / m - lam_pl ** 2, 0.0)
-        se_lam = math.sqrt(var_lam / m)
-        se_size = math.sqrt(max(size * (1.0 - size), 0.0) / m)
-        # credibility is the ratio mean(lam*chi)/mean(lam): delta method
-        a = sum_above[i] / m
-        var_a = max(sum_sq_above[i] / m - a ** 2, 0.0)
-        cov_ab = sum_sq_above[i] / m - a * lam_pl
-        denom = lam_pl * lam_pl
-        if denom > 0.0:
-            var_c = (var_a - 2.0 * cred * cov_ab + cred ** 2 * var_lam) / denom
-            se_cred = math.sqrt(max(var_c, 0.0) / m)
-        else:
-            # threshold so small its square underflows: no usable error bar
-            se_cred = math.inf
-        plausible = None
-        if truth is not None:
-            plausible = is_plausible(truth, counts_mat[i], theta_ml_list[i],
-                                     lam_pl, povm)
-        reports.append(PlausibilityReport(int(totals[i]), lam_pl, size, cred, m,
-                                          se_lam, se_size, se_cred, plausible))
-    return reports
+    logl_ml = _log_likelihoods_ml(counts_mat, theta_ml_list, povm)
+    with _chunk_pool(workers, m, chunk_size) as pool:
+        sweep = _sweep_counts(counts_mat, povm, m, seed, chunk_size, pool)
+    return _anchored_reports(counts_mat, povm, theta_ml_list, logl_ml, sweep,
+                             m, truth)
 
 
 def plausibility(counts, povm, theta_ml, m, seed, truth=None,
@@ -279,14 +356,21 @@ def plausibility(counts, povm, theta_ml, m, seed, truth=None,
 
 
 def is_plausible(theta, counts, theta_ml, lambda_pl, povm):
-    """Whether lambda(theta) = L(theta)/L(theta_ml) exceeds lambda_pl."""
+    """Whether lambda(theta) = L(theta)/L(theta_ml) exceeds lambda_pl.
+
+    lambda is not capped: where it overflows a float it exceeds every
+    finite lambda_pl.  A lambda_pl that is not finite is a ValueError, as
+    it is in the sweep.
+    """
     povm = get_povm(povm)
     logl_ml = log_likelihood(theta_ml, counts, povm)
     if not math.isfinite(logl_ml):
         raise ValueError("theta_ml has zero likelihood for these counts")
+    if not math.isfinite(lambda_pl):
+        raise ValueError(f"lambda_pl = {lambda_pl!r} is not finite")
     # a zero likelihood gives exp(-inf) = 0
-    ll = log_likelihood(theta, counts, povm)
-    return bool(math.exp(min(ll - logl_ml, LOG_CAP)) > lambda_pl)
+    log_lam = log_likelihood(theta, counts, povm) - logl_ml
+    return bool(log_lam > _LOG_MAX or math.exp(log_lam) > lambda_pl)
 
 
 # --------------------------------------------------------------------------

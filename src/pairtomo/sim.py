@@ -18,10 +18,17 @@ checkpoint N is a genuine prefix of the same simulated experiment.
 
 The ML fits of every run's checkpoints advance together in one lockstep
 call once all counts are drawn; each fit equals fitting its table alone
-on its own optimizer stream, bit for bit.  Each run's plausibility
-sweep follows the fits; its chunk pool is the only process pool here.
-Each record is built once, after the sweeps, with its estimates in the
-config's order.  Nothing is timed.
+on its own optimizer stream, bit for bit.  The plausibility sweep's
+prior pass needs the counts alone (it is anchored at the saturated
+likelihood, see `plausible`), so it runs beside the fits: a call opens
+at most one process pool, of min(workers, chunks of one sweep)
+processes, submits the lockstep fit to it as one job, and streams each
+run's prior pass through the same pool, one run at a time.  Once the
+fits return, each run's sums are moved to the anchor L(theta_ML).  With
+a pool of one process there is none: the fits, the passes and the
+anchoring run in-process, in that order.  Each record is built once,
+after the sweeps, with its estimates in the config's order.  Nothing is
+timed.
 """
 
 from dataclasses import dataclass
@@ -122,9 +129,13 @@ def simulate_run(config, workers=1):
 
     Counts and linear inversion go run by run, checkpoint by checkpoint;
     the ML fits of every (run, checkpoint) then run in one
-    `estimate.ml_estimates` call, and each run's plausibility sweep last,
-    on `workers` processes; each ML result, built with its summary,
-    takes its slot in the config's estimator order.
+    `estimate.ml_estimates` call.  With plausibility on and a pool of
+    min(workers, chunks of one sweep) > 1 processes, that call is the
+    pool's first job, and each run's data-only prior pass streams
+    through the same pool while it runs; each run's reports are
+    anchored at theta_ML once the fits return.  Otherwise everything
+    runs in-process.  Each ML result, built with its summary, takes its
+    slot in the config's estimator order.
     """
     truth = config.source
     povm = get_povm(config.povm)
@@ -158,24 +169,36 @@ def simulate_run(config, workers=1):
                 row.append(EstimateResult(name, dec, *_score(truth, dec)))
             estimates.append(row)
 
-    fits = []
-    if "ml" in config.estimators:
-        fits = _est.ml_estimates(tables, povm, config.optimizer, seeds)
-
-    reports = {}
+    fit_args = (tables, povm.name, config.optimizer, seeds)
+    fits, reports = [], {}
     if config.plausibility_enabled:
         checkpoints = [config.n_schedule.index(n) for n in
                        config.plausibility_checkpoints or config.n_schedule]
         per_run = len(config.n_schedule)
-        for first in range(0, len(tables), per_run):
-            slots = [first + i for i in checkpoints]
-            sweep = _pl.plausibility_sweep(
-                [tables[k] for k in slots], povm,
-                [fits[k].params for k in slots], config.plausibility_m,
-                seed_sequence(config.master_seed, STREAM_PRIOR,
-                              keys[first][0]),
-                truth=truth, workers=workers)
-            reports.update(zip(slots, sweep))
+        runs = [[first + i for i in checkpoints]
+                for first in range(0, len(tables), per_run)]
+        run_counts = [np.array([povm.validate_counts(tables[k])
+                                for k in slots]) for slots in runs]
+        m, chunk = config.plausibility_m, _pl.DEFAULT_CHUNK
+        with _pl._chunk_pool(workers, m, chunk) as pool:
+            if pool is None:
+                fits = _est.ml_estimates(*fit_args)
+            else:
+                job = pool.submit(_est.ml_estimates, *fit_args)
+            sweeps = [_pl._sweep_counts(
+                counts_mat, povm, m,
+                seed_sequence(config.master_seed, STREAM_PRIOR, run_index),
+                chunk, pool)
+                for run_index, counts_mat in enumerate(run_counts)]
+            if pool is not None:
+                fits = job.result()
+        for slots, counts_mat, sweep in zip(runs, run_counts, sweeps):
+            thetas_ml = [fits[k].params for k in slots]
+            logl_ml = _pl._log_likelihoods_ml(counts_mat, thetas_ml, povm)
+            reports.update(zip(slots, _pl._anchored_reports(
+                counts_mat, povm, thetas_ml, logl_ml, sweep, m, truth)))
+    elif "ml" in config.estimators:
+        fits = _est.ml_estimates(*fit_args)
 
     for k, ml in enumerate(fits):
         dec = _est.ml_decomposition(ml)
@@ -197,7 +220,8 @@ def run_experiment(config, workers=None):
     Results are identical for any worker count: run r always consumes the
     streams keyed by (master_seed, stream, r), and records are ordered by
     (run, N).  All runs' ML fits share one lockstep call; workers (default
-    1) sets the process count of each plausibility sweep.  This is
+    1) bounds the processes of the one pool that runs it beside the
+    plausibility sweeps.  This is
     `simulate_run`, under the name the command line calls.
     """
     return simulate_run(config, workers or 1)

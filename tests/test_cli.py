@@ -4,6 +4,7 @@ import filecmp
 import io
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -316,6 +317,60 @@ def test_simulate_bad_config_exits_2(tmp_path):
     assert main(["simulate", "--config", good, "--out", ""]) == 2
     assert main(["simulate", "--config", good, "--threads", "-3"]) == 2
     assert not out.exists()
+
+
+def test_degenerate_sweep_beside_ml_job_exits_1_and_leaves_no_process(
+        tmp_path, capsys):
+    # N = 1e7 leaves every one of 200 000 prior ratios at 0; at 2 workers
+    # the sweep raises while the pool still runs the ML fits of four runs
+    out = tmp_path / "out"
+    cfg = base_config(n_schedule=[10 ** 7], runs=4, estimators=["ml"],
+                      plausibility={"enabled": True, "m": 200_000},
+                      output={"path": str(out)})
+    rc = main(["simulate", "--config", write_config(tmp_path, cfg),
+               "--threads", "2"])
+    assert rc == 1
+    assert ("error: DegenerateSampleError: all 200000 likelihood ratios are "
+            "0 at N = 10000000; increase the sample count or evaluate a "
+            "smaller N") in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("runs", 2 ** 70, "runs"),
+    ("runs", 2 ** 63, "runs"),
+    ("runs", 2.5, "runs"),
+    ("runs", True, "runs"),
+    ("master_seed", 2 ** 63, "master_seed"),
+    ("n_schedule", [50, 2 ** 63], "n_schedule entry"),
+    ("optimizer", {"population": 10 ** 12, "max_evaluations": 2 ** 70},
+     "optimizer.max_evaluations"),
+    ("optimizer", {"restarts": 2 ** 63}, "optimizer.restarts"),
+    ("plausibility", {"enabled": True, "m": 100, "checkpoints": [2 ** 63]},
+     "plausibility checkpoint"),
+])
+def test_whole_numbers_share_one_rule(field, value, name):
+    # every whole-number field of a config is read by one rule, with the
+    # int64 bound, and the error names the field
+    data = base_config(estimators=["ml"], **{field: value})
+    with pytest.raises(UsageError, match=rf"{name} = .* is not a whole "
+                                         rf"number in \[\d, {2 ** 63 - 1}\]"):
+        ExperimentConfig.from_dict(data)
+
+
+def test_whole_number_bounds_hold_for_overrides(tmp_path):
+    data = base_config(runs=2 ** 63 - 1, master_seed=2 ** 63 - 1)
+    config = ExperimentConfig.from_dict(data)
+    assert (config.runs, config.master_seed) == (2 ** 63 - 1, 2 ** 63 - 1)
+    assert ExperimentConfig.from_dict(base_config(runs=3.0)).runs == 3
+    with pytest.raises(ValueError, match="runs = .* whole number"):
+        dataclasses.replace(config, runs=2 ** 70)
+    path = write_config(tmp_path, base_config(output={"path": str(tmp_path)}))
+    assert main(["simulate", "--config", path, "--seed", str(2 ** 63)]) == 2
+    counts = counts_file(tmp_path, 500)
+    assert main(["estimate", counts, "--povm", "tetra",
+                 "--seed", str(2 ** 63)]) == 2
 
 
 def test_plausibility_m_beyond_int64_is_a_config_error(tmp_path, capsys):

@@ -5,9 +5,10 @@ import pytest
 from scipy.special import gammaincc
 from scipy.stats import kstest
 
-from pairtomo import (EmptyDataError, ParamVector, asymptotics,
-                      ensemble_state, is_plausible, plausible, plausibility,
-                      plausibility_sweep, sample_counts)
+from pairtomo import (EmptyDataError, OptimizerConfig, ParamVector,
+                      asymptotics, ensemble_state, is_plausible, ml_estimate,
+                      plausible, plausibility, plausibility_sweep,
+                      sample_counts)
 from pairtomo.estimate import _as_generator, log_likelihood
 from pairtomo.plausible import (LOG_CAP, LOG_ZERO, DegenerateSampleError,
                                 _chunk_children)
@@ -15,6 +16,7 @@ from pairtomo.povm import get_povm
 from pairtomo.qstate import HALF_PI, TWO_PI, prior_features, random_param_array
 
 TRUTH = ParamVector.from_array([0.6, 1.0, 1.2, 4.0, 0.9])
+LOG_MAX = math.log(np.finfo(float).max)
 
 
 def tetra_counts(n, seed=3):
@@ -70,16 +72,18 @@ def test_prior_distribution():
 # plausibility reports
 
 def reference_report(counts, povm_name, theta_ml, m, seed, chunk_size):
-    """Single-pass reference with the same chunk arithmetic."""
+    """Single-pass reference with the same chunk arithmetic: ratios to the
+    saturated likelihood, with lambda_pl moved to theta_ML at the end."""
     povm = get_povm(povm_name)
     counts = np.asarray(counts, dtype=float)
-    logl_ml = log_likelihood(theta_ml, counts, povm_name)
+    observed = counts[counts > 0]
+    log_sat = observed @ np.log(observed / observed.sum())
     sum_lam = 0.0
     chunks = []
     for features in prior_chunks(seed, m, chunk_size, prior_features):
         qs = povm.moment_matrix @ features
         logq = np.where(qs > 0.0, np.log(np.maximum(qs, 1e-300)), LOG_ZERO)
-        loglam = counts @ logq - logl_ml
+        loglam = counts @ logq - log_sat
         np.minimum(loglam, LOG_CAP, out=loglam)
         lam = np.exp(loglam)
         chunks.append(lam)
@@ -91,7 +95,47 @@ def reference_report(counts, povm_name, theta_ml, m, seed, chunk_size):
         above = lam[lam > lam_pl]
         n_above += above.size
         sum_above += above.sum()
+    if sum_lam > 0.0:  # an all-zero sample has no threshold to move
+        gap = log_sat - log_likelihood(theta_ml, counts, povm)
+        with np.errstate(over="ignore"):
+            # past log(float max) the factor overflows, not always lam_pl
+            lam_pl = (lam_pl * np.exp(gap) if gap <= LOG_MAX
+                      else np.exp(np.log(lam_pl) + gap))
     return lam_pl, n_above / m, sum_above / sum_lam
+
+
+def ml_anchored_report(counts, povm_name, theta_ml, m, seed, chunk_size,
+                       truth):
+    """The same pass anchored at theta_ML, as the sweep once ran it: ratios
+    L(theta)/L(theta_ML) capped at exp(LOG_CAP), and the truth's ratio to
+    the threshold capped alike.  Returns (lambda_pl, size, credibility,
+    truth plausible, largest log ratio, the truth's log ratio)."""
+    povm = get_povm(povm_name)
+    counts = np.asarray(counts, dtype=float)
+    logl_ml = log_likelihood(theta_ml, counts, povm_name)
+    sum_lam = 0.0
+    max_log = -math.inf
+    chunks = []
+    for features in prior_chunks(seed, m, chunk_size, prior_features):
+        qs = povm.moment_matrix @ features
+        logq = np.where(qs > 0.0, np.log(np.maximum(qs, 1e-300)), LOG_ZERO)
+        loglam = counts @ logq - logl_ml
+        max_log = max(max_log, loglam.max())
+        np.minimum(loglam, LOG_CAP, out=loglam)
+        lam = np.exp(loglam)
+        chunks.append(lam)
+        sum_lam += lam.sum()
+    lam_pl = sum_lam / m
+    n_above = 0.0
+    sum_above = 0.0
+    for lam in chunks:
+        above = lam[lam > lam_pl]
+        n_above += above.size
+        sum_above += above.sum()
+    truth_log = log_likelihood(truth, counts, povm_name) - logl_ml
+    plausible = math.exp(min(truth_log, LOG_CAP)) > lam_pl
+    return (lam_pl, n_above / m, sum_above / sum_lam, plausible, max_log,
+            truth_log)
 
 
 def reference_chunk_stats(args):
@@ -245,6 +289,51 @@ def test_bad_reference_point_is_capped_not_overflowed():
     assert math.isfinite(rep.lambda_pl) and rep.lambda_pl > 0
     assert math.isfinite(rep.se_lambda_pl)
     assert 0 <= rep.credibility_pl <= 1
+
+
+def test_far_reference_point_is_not_capped():
+    # all counts in one outcome, so log L_sat = 0, against the source as
+    # theta_ML.  With 254 counts the source lies 712 below L_sat, and the
+    # factor exp(712) overflows alone, but lambda_pl (the mean ratio to
+    # theta_ML over the prior, about exp(404)) does not: no cap, no error.
+    # With 500 counts lambda_pl itself overflows, and the sweep names
+    # the checkpoint
+    far = np.zeros(9)
+    far[7] = 254
+    best = ml_estimate(far, "sic", OptimizerConfig(seed=1,
+                                                   max_evaluations=2000))
+    fitted = plausibility(far, "sic", best.params, m=1000, seed=0)
+    assert 0.0 < fitted.lambda_pl < 1.0
+    rep = plausibility(far, "sic", TRUTH, m=1000, seed=0, truth=TRUTH)
+    gap = log_likelihood(best.params, far, "sic") - log_likelihood(TRUTH, far,
+                                                                   "sic")
+    assert rep.lambda_pl == pytest.approx(fitted.lambda_pl * math.exp(gap),
+                                          rel=1e-12)
+    assert (rep.size_pl, rep.credibility_pl) == (fitted.size_pl,
+                                                 fitted.credibility_pl)
+    assert rep.truth_plausible is False
+    near = sample_counts(get_povm("sic").probabilities(ensemble_state(TRUTH)),
+                         254, np.random.Generator(np.random.Philox(1)))
+    far[7] = 500
+    with pytest.raises(ValueError, match="checkpoint 1 overflows"):
+        plausibility_sweep([near, far], "sic", [TRUTH, TRUTH], m=1000, seed=0)
+
+
+def test_is_plausible_is_uncapped_and_needs_a_finite_threshold():
+    counts = np.zeros(9)
+    counts[7] = 1000
+    best = ml_estimate(counts, "sic", OptimizerConfig(seed=1,
+                                                      max_evaluations=2000))
+    gap = (log_likelihood(best.params, counts, "sic")
+           - log_likelihood(TRUTH, counts, "sic"))
+    assert gap > LOG_MAX > LOG_CAP
+    # L(best)/L(source) overflows a float, so it exceeds every finite
+    # threshold, exp(LOG_CAP) and above included
+    assert is_plausible(best.params, counts, TRUTH, 1e300, "sic") is True
+    assert is_plausible(TRUTH, counts, best.params, 1e-300, "sic") is False
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda_pl = .* not finite"):
+            is_plausible(best.params, counts, TRUTH, bad, "sic")
 
 
 def test_is_plausible_truth_for_its_own_data():

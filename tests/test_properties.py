@@ -27,8 +27,8 @@ from pairtomo import (Decomposition, DegenerateInputError, EmptyDataError,
                       li_pipeline, ml_estimate, ml_estimates, plausible)
 from pairtomo.cli import RESULT_COLUMNS, main, render_table
 from pairtomo.estimate import fold_params, log_likelihood
-from pairtomo.plausible import (DegenerateSampleError, plausibility,
-                                plausibility_sweep)
+from pairtomo.plausible import (LOG_CAP, DegenerateSampleError,
+                                plausibility, plausibility_sweep)
 from pairtomo.qstate import (HALF_PI, TWO_PI, moment_features, prior_features,
                              random_param_array, to_triplet_matrix,
                              wrap_phase)
@@ -36,8 +36,8 @@ from pairtomo.recon import DEGENERACY_TOL, eigh3
 
 from test_estimate import (reference_li_pipeline, reference_ml_estimate,
                            reference_triplet_state)
-from test_plausible import (TRUTH, reference_chunk_stats, reference_report,
-                            tetra_counts)
+from test_plausible import (TRUTH, ml_anchored_report, reference_chunk_stats,
+                            reference_report, tetra_counts)
 from test_recon import (reference_decompose_moments, reference_null_ket,
                         reference_probabilities_given_states,
                         reference_states_from_xi)
@@ -329,6 +329,8 @@ def test_ml_estimates_match_sequential_reference(batch):
 @example((TETRA, np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, 0])), 3000, 100, 0)
 @example((SIC, np.array([0, 0, 0, 0, 2000, 0, 0, 0, 0])), 5, 2, 1)
 @example((TETRA, np.array([0, 0, 3, 0, 0, 0, 0, 0, 0, 0])), 1, 1, 0)
+@example((SIC, np.array([0, 0, 0, 0, 0, 0, 0, 254, 0])), 1, 1, 0)
+@example((SIC, np.array([0, 0, 0, 0, 0, 0, 0, 500, 0])), 1000, 1000, 0)
 def test_plausibility_sweep_matches_reference(table, m, chunk_size, seed):
     # small N puts most samples above the chunk cut; large N almost none
     assume(m <= 64 * chunk_size)
@@ -341,7 +343,41 @@ def test_plausibility_sweep_matches_reference(table, m, chunk_size, seed):
     except DegenerateSampleError:
         assert ref[0] == 0.0
         return
+    except ValueError as exc:
+        # the source is no ML point for every table: a threshold beyond
+        # the float range is refused, not capped (the first example above
+        # scales by a factor beyond the float range, the second overflows)
+        assert ref[0] == math.inf and "overflows" in str(exc)
+        return
     assert (rep.lambda_pl, rep.size_pl, rep.credibility_pl) == ref
+
+
+@settings(max_examples=60)
+@given(small_tables(), st.one_of(st.just(TRUTH), params),
+       st.integers(1, 4000), st.integers(1, 4000), st.integers(0, 2 ** 32))
+@example((TETRA, tetra_counts(400)), TRUTH, 3000, 1000, 21)
+def test_data_anchor_matches_ml_anchor(table, theta_ml, m, chunk_size, seed):
+    # anchoring the prior pass at the saturated likelihood instead of
+    # theta_ML moves lambda_pl by rounding alone, wherever the old cap on
+    # log ratios did not bind and lambda_pl / (L_sat / L(theta_ML)) is far
+    # above the float range's bottom, where underflow loses digits
+    assume(m <= 64 * chunk_size)
+    povm, counts = table
+    logl_ml = log_likelihood(theta_ml, counts, povm)
+    assume(math.isfinite(logl_ml))
+    observed = counts[counts > 0].astype(float)
+    log_sat = float(observed @ np.log(observed / observed.sum()))
+    with np.errstate(invalid="ignore"):
+        lam, size, cred, plausible, max_log, truth_log = ml_anchored_report(
+            counts, povm.name, theta_ml, m, seed, chunk_size, TRUTH)
+    assume(max(max_log, truth_log) < LOG_CAP)
+    assume(lam > 0.0 and math.log(lam) - (log_sat - logl_ml) > -600.0)
+    rep, = plausibility_sweep([counts], povm, [theta_ml], m, seed,
+                              truth=TRUTH, chunk_size=chunk_size, workers=1)
+    assert rep.lambda_pl == pytest.approx(lam, rel=1e-12, abs=0.0)
+    assert rep.credibility_pl == pytest.approx(cred, rel=0.0, abs=1e-12)
+    assert rep.size_pl == size
+    assert rep.truth_plausible == plausible
 
 
 @settings(max_examples=40)

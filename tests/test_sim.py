@@ -7,6 +7,7 @@ import pytest
 from pairtomo import TETRA, ensemble_state, sample_counts, seed_sequence
 from pairtomo.cli import ExperimentConfig
 from pairtomo.estimate import ml_decomposition, ml_estimate
+from pairtomo.plausible import DEFAULT_CHUNK
 from pairtomo.recon import DegenerateInputError
 from pairtomo.sim import (STREAM_COUNTS, STREAM_OPTIMIZER, STREAM_PRIOR,
                           run_experiment, simulate_run, stream_generator)
@@ -199,6 +200,28 @@ def test_single_run_sweep_parallelism_is_invariant():
     b = run_experiment(cfg, workers=3)[0].estimates[0]
     assert (a.lambda_pl, a.size_pl, a.credibility_pl) == \
            (b.lambda_pl, b.size_pl, b.credibility_pl)
+
+
+def test_shared_pool_matches_in_process():
+    # two runs whose sweeps span two chunks: at 2 workers one pool runs
+    # the lockstep ML fit beside both runs' prior passes, at 1 worker all
+    # of it runs in-process; the records must not differ in any bit
+    assert -(-150_000 // DEFAULT_CHUNK) == 2
+    cfg = _config(runs=2, estimators=["li-xi", "ml"],
+                  optimizer={"max_evaluations": 1200},
+                  n_schedule=[120, 400],
+                  plausibility={"enabled": True, "m": 150_000})
+    serial = simulate_run(cfg, 1)
+    pooled = simulate_run(cfg, 2)
+    assert [(r.run_index, r.n_total) for r in serial] == \
+           [(r.run_index, r.n_total) for r in pooled] == \
+           [(0, 120), (0, 400), (1, 120), (1, 400)]
+    for a, b in zip(serial, pooled):
+        assert (a.counts == b.counts).all()
+        assert a.estimates == b.estimates
+        ml = a.estimates[1]
+        assert ml.objective is not None and ml.converged in (True, False)
+        assert 0.0 < ml.lambda_pl and ml.truth_plausible in (True, False)
 
 
 def test_simulate_run_matches_run_experiment():
