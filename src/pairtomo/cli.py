@@ -464,11 +464,11 @@ def _threads(args):
     return args.threads or os.cpu_count() or 1
 
 
-def _seed(args):
-    """--seed of estimate and plausible, default 0; a whole number in
-    [0, 2^63 - 1], as the config's master_seed."""
+def _whole_option(name, value, low):
+    """A whole-number option in [low, 2^63 - 1], by the rule of the
+    config's whole-number fields; UsageError otherwise."""
     try:
-        return _whole_number("--seed", args.seed or 0, 0)
+        return _whole_number(name, value, low)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -524,7 +524,7 @@ def cmd_estimate(args):
     povm = get_povm(args.povm)
     counts = read_counts(args.counts, povm)
     names = args.estimator or ["li-xi"]
-    seed = _seed(args)
+    seed = _whole_option("--seed", args.seed or 0, 0)
     _threads(args)  # checked only: estimate runs in one process
     # Python ints: an int64 sum wraps for totals beyond 2^63 - 1
     report = {"povm": povm.name, "n_total": sum(int(c) for c in counts),
@@ -552,18 +552,17 @@ def cmd_estimate(args):
 
 
 def cmd_plausible(args):
-    if args.m < 1:
-        raise UsageError(f"--m must be at least 1, got {args.m}")
+    m = _whole_option("--m", args.m, 1)
     povm = get_povm(args.povm)
     counts = read_counts(args.counts, povm)
-    seed = _seed(args)
+    seed = _whole_option("--seed", args.seed or 0, 0)
     workers = _threads(args)
     log = _log(args)
     opt = OptimizerConfig(seed=seed_sequence(seed, STREAM_OPTIMIZER, 0, 0))
     ml = ml_estimate(counts, povm, opt)
     if log:
         log(f"theta_ML = {ml.params.to_array().tolist()}")
-    rep = plausibility(counts, povm, ml.params, args.m,
+    rep = plausibility(counts, povm, ml.params, m,
                        seed_sequence(seed, STREAM_PRIOR, 0), workers=workers)
     asym = asymptotics(rep.n_total, rep.lambda_pl, size=rep.size_pl,
                        credibility=rep.credibility_pl)

@@ -15,8 +15,8 @@ content ("credibility") are estimated from M prior samples:
     credibility ~ sum_m lambda^(m) chi(...) / (M lambda_pl).
 
 The prior draws each Bloch vector isotropically and alpha uniformly on
-[0, pi/2] (p0 = cos^2 alpha).  Evaluation is streamed in fixed-size
-chunks and makes one pass over the prior.  A chunk's kernel walks its
+[0, pi/2] (p0 = cos^2 alpha).  Evaluation is streamed in chunks of CHUNK
+samples and makes one pass over the prior.  A chunk's kernel walks its
 samples in cache-sized blocks: each block draws its moment features
 straight from the prior's uniforms as contiguous rows
 (`qstate.prior_features`), takes log q for every outcome in one
@@ -42,7 +42,7 @@ At most CANDIDATE_BUDGET candidates are held; a chunk whose candidates do
 not fit is replayed through the same kernel once lambda_pl is known, so
 memory stays bounded for any M.  Chunks own SeedSequence-derived
 substreams and are reduced in chunk order, which makes reports bitwise
-reproducible for any worker count at fixed (seed, chunk_size).
+reproducible for any worker count at a fixed seed.
 
 The prior pass is anchored at the data, not at theta_ML: the kernel
 divides by the saturated likelihood L_sat = prod over n_j > 0 of
@@ -66,7 +66,10 @@ ValueError that names the checkpoint.
 
 Size and credibility estimates are scale errors of order 1/sqrt(M); the
 attached standard errors come from the per-sample moment sums (delta
-method for the credibility ratio), treating the threshold as fixed.
+method for the credibility ratio), treating the threshold as fixed;
+both are inf where lambda'_pl is too small for its squares (see
+_SQUARES_FLOOR).  A report holds only what the data determine: whether
+a theta, say a simulation's source, is plausible is `is_plausible`'s.
 """
 
 import math
@@ -84,14 +87,14 @@ from .qstate import prior_features
 # per-outcome stand-in for log 0: large enough that any observed count
 # drives lambda to exact 0, finite so that 0*log(0) products stay 0
 LOG_ZERO = -1e12
-# cap on log lambda: keeps lambda**2 finite for any anchor.  The sweep
-# anchors at the saturated likelihood, where log lambda <= 0 up to
-# rounding, so the cap never binds there
-LOG_CAP = 300.0
 # largest x with a finite exp(x)
 _LOG_MAX = math.log(sys.float_info.max)
+# lam_pl^2 below 2^53 times the smallest normal float: samples a factor
+# 2^26.5 under lam_pl have subnormal squares, and the error bars lose digits
+_SQUARES_FLOOR = 2.0 ** 53 * sys.float_info.min
 
-DEFAULT_CHUNK = 100_000
+# prior samples per chunk
+CHUNK = 100_000
 # lambda candidates held between the prior pass and the threshold (4 MiB)
 CANDIDATE_BUDGET = 1 << 19
 # samples per block of the chunk kernel: the working set (about 1 MiB)
@@ -124,6 +127,8 @@ def _chunk_stats(args):
         (sum lambda, sum lambda^2, count lambda > 0)
     per checkpoint, and cands[i] holds the chunk's lambda values above
     out[i, 0] / m in sample order: a superset of those above lambda_pl.
+    Each anchor logl_ml[i] is at or above its table's log L_sat, so
+    lambda <= 1 up to rounding; nothing is capped.
 
     The samples run through in blocks of _BLOCK, small enough that a
     block's uniforms, features and log probabilities stay in L2 cache, and
@@ -148,7 +153,6 @@ def _chunk_stats(args):
         for i in range(len(counts_mat)):
             loglam = counts_mat[i] @ logq
             loglam -= logl_ml[i]
-            np.minimum(loglam, LOG_CAP, out=loglam)
             np.exp(loglam, out=lam[i, start:stop])
     out = np.empty((len(counts_mat), 3))
     cands = []
@@ -200,50 +204,52 @@ class PlausibilityReport:
     se_lambda_pl: float
     se_size: float
     se_credibility: float
-    truth_plausible: object = None
 
 
-def _chunk_pool(workers, m, chunk_size):
+def _chunk_pool(workers, m):
     """A pool of min(workers, chunks) processes for a sweep of m samples,
     or a null context (whose target is None) when that is one process."""
-    workers = min(workers or 1, -(-m // chunk_size))
+    workers = min(workers or 1, -(-m // CHUNK))
     return ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
 
 
-def _log_likelihoods_ml(counts_mat, theta_ml_list, povm):
+def _log_likelihoods_ml(tables, theta_ml_list, povm):
     """log L(theta_ML) of each table; ValueError where it is zero."""
-    logl_ml = np.zeros(len(counts_mat))
+    logl_ml = np.zeros(len(tables))
     for i, theta_ml in enumerate(theta_ml_list):
-        ll = log_likelihood(theta_ml, counts_mat[i], povm)
+        ll = log_likelihood(theta_ml, tables[i], povm)
         if not math.isfinite(ll):
             raise ValueError(f"theta_ml for checkpoint {i} has zero likelihood")
         logl_ml[i] = ll
     return logl_ml
 
 
-def _sweep_counts(counts_mat, povm, m, seed, chunk_size, pool):
+def _sweep_counts(tables, povm, m, seed, pool):
     """The data-only step of a sweep: chunks, candidates and replays.
 
+    Every table must hold counts: an all-zero one raises EmptyDataError.
     The kernel is anchored at L_sat, so it sees lambda' = L(theta)/L_sat.
-    Returns (first, second, log_sat): first[i] = (sum lambda', sum
-    lambda'^2, count lambda' > 0) and second[i] = (count, sum, sum of
+    Returns (first, second, log_sat, n_totals): first[i] = (sum lambda',
+    sum lambda'^2, count lambda' > 0) and second[i] = (count, sum, sum of
     squares) of the lambda' above their mean, for table i.  Chunks run
     on `pool`, or in-process when it is None.
     """
+    counts_mat = np.array([povm.validate_counts(c) for c in tables])
+    n_totals = [int(counts.sum()) for counts in counts_mat]
     # log L_sat = sum over n_j > 0 of n_j log(n_j / N), the largest log
     # likelihood any outcome distribution gives a table's counts
     log_sat = np.array([n @ np.log(n / n.sum())
                         for n in (c[c > 0] for c in counts_mat)])
-    n_chunks = -(-m // chunk_size)
+    n_chunks = -(-m // CHUNK)
     children = _chunk_children(seed, n_chunks)
-    tasks = [(children[k], min(chunk_size, m - k * chunk_size), povm.name,
+    tasks = [(children[k], min(CHUNK, m - k * CHUNK), povm.name,
               counts_mat, log_sat, m) for k in range(n_chunks)]
     run = map if pool is None else pool.map
     first, kept = _keep_candidates(run(_chunk_stats, tasks), m)
-    for i, counts in enumerate(counts_mat):
+    for i, n_total in enumerate(n_totals):
         if first[i, 2] == 0:
             raise DegenerateSampleError(
-                f"all {m} likelihood ratios are 0 at N = {int(counts.sum())}; "
+                f"all {m} likelihood ratios are 0 at N = {n_total}; "
                 "increase the sample count or evaluate a smaller N")
     lambda_pl = first[:, 0] / m
 
@@ -256,7 +262,7 @@ def _sweep_counts(counts_mat, povm, m, seed, chunk_size, pool):
         for i, c in enumerate(cands):
             above = c[c > lambda_pl[i]]
             second[i] += (above.size, above.sum(), float(above @ above))
-    return first, second, log_sat
+    return first, second, log_sat, n_totals
 
 
 def _times_exp(x, log_factor):
@@ -269,55 +275,49 @@ def _times_exp(x, log_factor):
         return float(np.exp(np.log(x) + log_factor))
 
 
-def _anchored_reports(counts_mat, povm, theta_ml_list, logl_ml, sweep, m,
-                      truth):
-    """Reports of a data-only sweep, moved to the anchor L(theta_ML).
+def _anchored_reports(sweep, logl_ml, m):
+    """Reports of a data-only sweep, moved to the anchors log L(theta_ML).
 
     Size and credibility, and the credibility's error bar, are the same
     for any anchor; lambda_pl and its error bar are multiplied by
     L_sat/L(theta_ML).  A lambda_pl that overflows is a ValueError.
     """
-    first, second, log_sat = sweep
+    first, second, log_sat, n_totals = sweep
     reports = []
     # lam_pl and se_lam in units of L_sat until the last step
-    for i, counts in enumerate(counts_mat):
+    for i, n_total in enumerate(n_totals):
         sum_lam, sum_lam_sq, _ = first[i]
         n_above, sum_above, sum_sq_above = second[i]
         lam_pl = float(sum_lam / m)
         size = float(n_above) / m
         cred = float(sum_above / sum_lam)
-        var_lam = max(sum_lam_sq / m - lam_pl ** 2, 0.0)
-        se_lam = math.sqrt(var_lam / m)
         se_size = math.sqrt(max(size * (1.0 - size), 0.0) / m)
-        # credibility is the ratio mean(lam*chi)/mean(lam): delta method
-        a = sum_above / m
-        var_a = max(sum_sq_above / m - a ** 2, 0.0)
-        cov_ab = sum_sq_above / m - a * lam_pl
         denom = lam_pl * lam_pl
-        if denom > 0.0:
+        if denom < _SQUARES_FLOOR:
+            se_lam = se_cred = math.inf
+        else:
+            var_lam = max(sum_lam_sq / m - lam_pl ** 2, 0.0)
+            se_lam = math.sqrt(var_lam / m)
+            # credibility is the ratio mean(lam*chi)/mean(lam): delta method
+            a = sum_above / m
+            var_a = max(sum_sq_above / m - a ** 2, 0.0)
+            cov_ab = sum_sq_above / m - a * lam_pl
             var_c = (var_a - 2.0 * cred * cov_ab + cred ** 2 * var_lam) / denom
             se_cred = math.sqrt(max(var_c, 0.0) / m)
-        else:
-            # threshold so small its square underflows: no usable error bar
-            se_cred = math.inf
         gap = log_sat[i] - logl_ml[i]
         lambda_pl = _times_exp(lam_pl, gap)
         if not math.isfinite(lambda_pl):
             raise ValueError(
                 f"lambda_pl for checkpoint {i} overflows: theta_ml lies "
                 f"{gap:.6g} below the largest log likelihood of its counts")
-        plausible = None
-        if truth is not None:
-            plausible = is_plausible(truth, counts, theta_ml_list[i],
-                                     lambda_pl, povm)
         reports.append(PlausibilityReport(
-            int(counts.sum()), lambda_pl, size, cred, m,
-            _times_exp(se_lam, gap), se_size, se_cred, plausible))
+            n_total, lambda_pl, size, cred, m, _times_exp(se_lam, gap),
+            se_size, se_cred))
     return reports
 
 
-def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed, truth=None,
-                       chunk_size=DEFAULT_CHUNK, workers=None):
+def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed,
+                       workers=None):
     """Plausible-region reports for several checkpoints of one count stream.
 
     counts_list holds cumulative count vectors (say at N = 100, 200, ...)
@@ -325,34 +325,30 @@ def plausibility_sweep(counts_list, povm, theta_ml_list, m, seed, truth=None,
     the same prior sample, so the per-sample outcome probabilities are
     computed once; with dozens of checkpoints this dominates the cost of
     separate calls.  Every table must hold counts: an all-zero one raises
-    EmptyDataError, as in the other estimators.  m and chunk_size are
-    whole numbers >= 1, as ints, numpy integers or integral floats.
+    EmptyDataError, as in the other estimators.  m is a whole number
+    >= 1, as an int, a numpy integer or an integral float.
 
     The prior pass needs the counts alone: it is anchored at the
     saturated likelihood L_sat, and only its reduced sums are moved to
     the anchor L(theta_ML) afterwards.  Ratios to theta_ML are not
     capped: a theta_ML far below the likelihood maximum can give
     lambda_pl > 1, and a lambda_pl that overflows a float raises
-    ValueError naming the checkpoint.
+    ValueError naming the checkpoint.  Whether a given theta lies in
+    the region is `is_plausible`'s question.
     """
     povm = get_povm(povm)
     if len(counts_list) != len(theta_ml_list):
         raise ValueError("one theta_ml per counts vector is required")
     m = _whole_number("m", m, 1)
-    chunk_size = _whole_number("chunk_size", chunk_size, 1)
-    counts_mat = np.array([povm.validate_counts(c) for c in counts_list])
-    logl_ml = _log_likelihoods_ml(counts_mat, theta_ml_list, povm)
-    with _chunk_pool(workers, m, chunk_size) as pool:
-        sweep = _sweep_counts(counts_mat, povm, m, seed, chunk_size, pool)
-    return _anchored_reports(counts_mat, povm, theta_ml_list, logl_ml, sweep,
-                             m, truth)
+    logl_ml = _log_likelihoods_ml(counts_list, theta_ml_list, povm)
+    with _chunk_pool(workers, m) as pool:
+        sweep = _sweep_counts(counts_list, povm, m, seed, pool)
+    return _anchored_reports(sweep, logl_ml, m)
 
 
-def plausibility(counts, povm, theta_ml, m, seed, truth=None,
-                 chunk_size=DEFAULT_CHUNK, workers=None):
+def plausibility(counts, povm, theta_ml, m, seed, workers=None):
     """Plausible-region report for a single count vector."""
-    return plausibility_sweep([counts], povm, [theta_ml], m, seed, truth,
-                              chunk_size, workers)[0]
+    return plausibility_sweep([counts], povm, [theta_ml], m, seed, workers)[0]
 
 
 def is_plausible(theta, counts, theta_ml, lambda_pl, povm):

@@ -27,8 +27,8 @@ run's prior pass through the same pool, one run at a time.  Once the
 fits return, each run's sums are moved to the anchor L(theta_ML).  With
 a pool of one process there is none: the fits, the passes and the
 anchoring run in-process, in that order.  Each record is built once,
-after the sweeps, with its estimates in the config's order.  Nothing is
-timed.
+after the sweeps, with its estimates in the config's order and, for
+ML, `plausible.is_plausible` of the source.  Nothing is timed.
 """
 
 from dataclasses import dataclass
@@ -134,8 +134,8 @@ def simulate_run(config, workers=1):
     pool's first job, and each run's data-only prior pass streams
     through the same pool while it runs; each run's reports are
     anchored at theta_ML once the fits return.  Otherwise everything
-    runs in-process.  Each ML result, built with its summary, takes its
-    slot in the config's estimator order.
+    runs in-process.  Each ML result, built with its summary and the
+    source's `is_plausible`, takes its slot in the estimator order.
     """
     truth = config.source
     povm = get_povm(config.povm)
@@ -177,26 +177,24 @@ def simulate_run(config, workers=1):
         per_run = len(config.n_schedule)
         runs = [[first + i for i in checkpoints]
                 for first in range(0, len(tables), per_run)]
-        run_counts = [np.array([povm.validate_counts(tables[k])
-                                for k in slots]) for slots in runs]
-        m, chunk = config.plausibility_m, _pl.DEFAULT_CHUNK
-        with _pl._chunk_pool(workers, m, chunk) as pool:
+        m = config.plausibility_m
+        with _pl._chunk_pool(workers, m) as pool:
             if pool is None:
                 fits = _est.ml_estimates(*fit_args)
             else:
                 job = pool.submit(_est.ml_estimates, *fit_args)
             sweeps = [_pl._sweep_counts(
-                counts_mat, povm, m,
-                seed_sequence(config.master_seed, STREAM_PRIOR, run_index),
-                chunk, pool)
-                for run_index, counts_mat in enumerate(run_counts)]
+                [tables[k] for k in slots], povm, m, seed_sequence(
+                    config.master_seed, STREAM_PRIOR, run_index), pool)
+                for run_index, slots in enumerate(runs)]
             if pool is not None:
                 fits = job.result()
-        for slots, counts_mat, sweep in zip(runs, run_counts, sweeps):
-            thetas_ml = [fits[k].params for k in slots]
-            logl_ml = _pl._log_likelihoods_ml(counts_mat, thetas_ml, povm)
-            reports.update(zip(slots, _pl._anchored_reports(
-                counts_mat, povm, thetas_ml, logl_ml, sweep, m, truth)))
+        for slots, sweep in zip(runs, sweeps):
+            logl_ml = _pl._log_likelihoods_ml(
+                [tables[k] for k in slots], [fits[k].params for k in slots],
+                povm)
+            reports.update(zip(slots,
+                               _pl._anchored_reports(sweep, logl_ml, m)))
     elif "ml" in config.estimators:
         fits = _est.ml_estimates(*fit_args)
 
@@ -206,7 +204,8 @@ def simulate_run(config, workers=1):
         plausible = {} if rep is None else {
             "lambda_pl": rep.lambda_pl, "size_pl": rep.size_pl,
             "credibility_pl": rep.credibility_pl,
-            "truth_plausible": rep.truth_plausible}
+            "truth_plausible": _pl.is_plausible(
+                truth, tables[k], ml.params, rep.lambda_pl, povm)}
         estimates[k].insert(config.estimators.index("ml"), EstimateResult(
             "ml", dec, *_score(truth, dec), objective=ml.objective,
             converged=ml.converged, **plausible))

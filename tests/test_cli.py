@@ -526,9 +526,26 @@ def test_verbose_names_files_and_theta_ml(tmp_path, capsys):
     assert captured.err.splitlines() == [f"theta_ML = {theta_ml}"]
 
 
+def test_plausible_tiny_threshold_has_no_error_bars(tmp_path, capsys):
+    # all 400 counts in one outcome: lambda_pl is finite, but the squares
+    # behind its error bars underflow, and the report says inf, not 0
+    counts = np.zeros(9, dtype=np.int64)
+    counts[7] = 400
+    path = tmp_path / "counts.csv"
+    path.write_text(render_counts(counts, SIC), newline="")
+    assert main(["plausible", str(path), "--povm", "sic", "--m", "1000",
+                 "--threads", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0.0 < report["lambda_pl"] < 1.0
+    assert report["se_lambda_pl"] == report["se_credibility"] == math.inf
+    assert 0.0 < report["se_size"] < 1.0
+
+
 def test_plausible_bad_arguments_exit_2(tmp_path):
     path = counts_file(tmp_path, 100)
     assert main(["plausible", path, "--povm", "tetra", "--m", "0"]) == 2
+    assert main(["plausible", path, "--povm", "tetra",
+                 "--m", str(2 ** 63)]) == 2
     assert main(["plausible", path, "--povm", "tetra", "--m", "100",
                  "--seed", "-1"]) == 2
     assert main(["plausible", path, "--povm", "tetra", "--m", "100",

@@ -10,13 +10,14 @@ from pairtomo import (EmptyDataError, OptimizerConfig, ParamVector,
                       plausible, plausibility, plausibility_sweep,
                       sample_counts)
 from pairtomo.estimate import _as_generator, log_likelihood
-from pairtomo.plausible import (LOG_CAP, LOG_ZERO, DegenerateSampleError,
-                                _chunk_children)
+from pairtomo.plausible import LOG_ZERO, DegenerateSampleError, _chunk_children
 from pairtomo.povm import get_povm
 from pairtomo.qstate import HALF_PI, TWO_PI, prior_features, random_param_array
 
 TRUTH = ParamVector.from_array([0.6, 1.0, 1.2, 4.0, 0.9])
 LOG_MAX = math.log(np.finfo(float).max)
+# the cap on log ratios of the theta_ML-anchored pass the sweep once ran
+ML_ANCHOR_LOG_CAP = 300.0
 
 
 def tetra_counts(n, seed=3):
@@ -83,9 +84,7 @@ def reference_report(counts, povm_name, theta_ml, m, seed, chunk_size):
     for features in prior_chunks(seed, m, chunk_size, prior_features):
         qs = povm.moment_matrix @ features
         logq = np.where(qs > 0.0, np.log(np.maximum(qs, 1e-300)), LOG_ZERO)
-        loglam = counts @ logq - log_sat
-        np.minimum(loglam, LOG_CAP, out=loglam)
-        lam = np.exp(loglam)
+        lam = np.exp(counts @ logq - log_sat)
         chunks.append(lam)
         sum_lam += lam.sum()
     lam_pl = sum_lam / m
@@ -107,9 +106,10 @@ def reference_report(counts, povm_name, theta_ml, m, seed, chunk_size):
 def ml_anchored_report(counts, povm_name, theta_ml, m, seed, chunk_size,
                        truth):
     """The same pass anchored at theta_ML, as the sweep once ran it: ratios
-    L(theta)/L(theta_ML) capped at exp(LOG_CAP), and the truth's ratio to
-    the threshold capped alike.  Returns (lambda_pl, size, credibility,
-    truth plausible, largest log ratio, the truth's log ratio)."""
+    L(theta)/L(theta_ML) capped at exp(ML_ANCHOR_LOG_CAP), and the truth's
+    ratio to the threshold capped alike.  Returns (lambda_pl, size,
+    credibility, truth plausible, largest log ratio, the truth's log
+    ratio)."""
     povm = get_povm(povm_name)
     counts = np.asarray(counts, dtype=float)
     logl_ml = log_likelihood(theta_ml, counts, povm_name)
@@ -121,7 +121,7 @@ def ml_anchored_report(counts, povm_name, theta_ml, m, seed, chunk_size,
         logq = np.where(qs > 0.0, np.log(np.maximum(qs, 1e-300)), LOG_ZERO)
         loglam = counts @ logq - logl_ml
         max_log = max(max_log, loglam.max())
-        np.minimum(loglam, LOG_CAP, out=loglam)
+        np.minimum(loglam, ML_ANCHOR_LOG_CAP, out=loglam)
         lam = np.exp(loglam)
         chunks.append(lam)
         sum_lam += lam.sum()
@@ -133,7 +133,7 @@ def ml_anchored_report(counts, povm_name, theta_ml, m, seed, chunk_size,
         n_above += above.size
         sum_above += above.sum()
     truth_log = log_likelihood(truth, counts, povm_name) - logl_ml
-    plausible = math.exp(min(truth_log, LOG_CAP)) > lam_pl
+    plausible = math.exp(min(truth_log, ML_ANCHOR_LOG_CAP)) > lam_pl
     return (lam_pl, n_above / m, sum_above / sum_lam, plausible, max_log,
             truth_log)
 
@@ -153,16 +153,16 @@ def reference_chunk_stats(args):
     for i in range(len(counts_mat)):
         loglam = counts_mat[i] @ logq
         loglam -= logl_ml[i]
-        np.minimum(loglam, LOG_CAP, out=loglam)
         lam = np.exp(loglam, out=loglam)
         out[i] = (lam.sum(), float(lam @ lam), np.count_nonzero(lam))
         cands.append(lam[lam > out[i, 0] / m])
     return out, cands
 
 
-def test_two_pass_streaming_matches_reference():
+def test_two_pass_streaming_matches_reference(monkeypatch):
     counts = tetra_counts(400)
-    rep = plausibility(counts, "tetra", TRUTH, m=3000, seed=21, chunk_size=1000)
+    monkeypatch.setattr(plausible, "CHUNK", 1000)
+    rep = plausibility(counts, "tetra", TRUTH, m=3000, seed=21)
     lam, size, cred = reference_report(counts, "tetra", TRUTH, 3000, 21, 1000)
     assert rep.lambda_pl == lam
     assert rep.size_pl == size
@@ -173,12 +173,14 @@ def test_two_pass_streaming_matches_reference():
     assert 0 < rep.credibility_pl <= 1
 
 
-def test_chunk_size_does_not_change_estimates_much():
+def test_chunk_size_does_not_change_estimates_much(monkeypatch):
     # different chunk sizes regroup the same kind of draws; estimates agree
     # at the Monte Carlo scale set by the attached standard errors
     counts = tetra_counts(300)
-    a = plausibility(counts, "tetra", TRUTH, m=60000, seed=31, chunk_size=60000)
-    b = plausibility(counts, "tetra", TRUTH, m=60000, seed=32, chunk_size=20000)
+    monkeypatch.setattr(plausible, "CHUNK", 60000)
+    a = plausibility(counts, "tetra", TRUTH, m=60000, seed=31)
+    monkeypatch.setattr(plausible, "CHUNK", 20000)
+    b = plausibility(counts, "tetra", TRUTH, m=60000, seed=32)
     assert abs(a.lambda_pl - b.lambda_pl) < \
         6 * math.hypot(a.se_lambda_pl, b.se_lambda_pl)
     assert abs(a.size_pl - b.size_pl) < 6 * math.hypot(a.se_size, b.se_size)
@@ -186,9 +188,10 @@ def test_chunk_size_does_not_change_estimates_much():
         6 * math.hypot(a.se_credibility, b.se_credibility)
 
 
-def test_worker_count_invariance():
+def test_worker_count_invariance(monkeypatch):
     counts = tetra_counts(250)
-    kw = dict(m=4000, seed=13, chunk_size=1000, truth=TRUTH)
+    monkeypatch.setattr(plausible, "CHUNK", 1000)
+    kw = dict(m=4000, seed=13)
     a = plausibility(counts, "tetra", TRUTH, workers=1, **kw)
     b = plausibility(counts, "tetra", TRUTH, workers=2, **kw)
     assert a == b
@@ -198,7 +201,8 @@ def test_candidate_budget_overflow_replays_chunks(monkeypatch):
     # a tiny budget forces pruning and replays on the shared pool; the
     # reports must not change
     counts_list = [tetra_counts(30), tetra_counts(300), tetra_counts(3000)]
-    kw = dict(m=6000, seed=4, chunk_size=1000, truth=TRUTH, workers=2)
+    monkeypatch.setattr(plausible, "CHUNK", 1000)
+    kw = dict(m=6000, seed=4, workers=2)
     full = plausibility_sweep(counts_list, "tetra", [TRUTH] * 3, **kw)
     keep = plausible._keep_candidates
     replayed = []
@@ -219,7 +223,8 @@ def test_blocked_kernel_replays_match_whole_chunk(monkeypatch):
     # tail), with a budget small enough that chunks are replayed: the
     # reports are those of whole-chunk blocks without replays
     counts_list = [tetra_counts(30), tetra_counts(300), tetra_counts(3000)]
-    kw = dict(m=5000, seed=9, chunk_size=1000, truth=TRUTH, workers=1)
+    monkeypatch.setattr(plausible, "CHUNK", 1000)
+    kw = dict(m=5000, seed=9, workers=1)
     whole = plausibility_sweep(counts_list, "tetra", [TRUTH] * 3, **kw)
     calls = []
 
@@ -242,25 +247,20 @@ def test_degenerate_sample_raises():
         plausibility(counts, "tetra", TRUTH, m=1, seed=0)
 
 
-def test_prior_sampler_validation():
-    # the prior draw needs at least one sample and a positive chunk size
+def test_prior_sampler_validation(monkeypatch):
+    # the prior draw needs at least one sample
     counts = tetra_counts(50)
     with pytest.raises(ValueError):
         plausibility(counts, "tetra", TRUTH, m=0, seed=0)
-    with pytest.raises(ValueError):
-        plausibility(counts, "tetra", TRUTH, m=10, seed=0, chunk_size=0)
-    # both are whole numbers, by the rule sample_counts applies to n
-    kw = dict(seed=3, chunk_size=128)
+    # m is a whole number, by the rule sample_counts applies to n
+    monkeypatch.setattr(plausible, "CHUNK", 128)
+    kw = dict(seed=3)
     rep = plausibility(counts, "tetra", TRUTH, m=300, **kw)
     assert plausibility(counts, "tetra", TRUTH, m=300.0, **kw) == rep
     assert plausibility(counts, "tetra", TRUTH, m=np.int64(300), **kw) == rep
-    assert plausibility(counts, "tetra", TRUTH, m=300, seed=3,
-                        chunk_size=np.float64(128.0)) == rep
     for bad in (2.5, math.nan, math.inf, "300", 2 ** 63, True):
         with pytest.raises(ValueError, match="m = .* whole number"):
             plausibility(counts, "tetra", TRUTH, m=bad, seed=0)
-        with pytest.raises(ValueError, match="chunk_size = .* whole number"):
-            plausibility(counts, "tetra", TRUTH, m=10, seed=0, chunk_size=bad)
 
 
 def test_sweep_validation():
@@ -280,12 +280,14 @@ def test_sweep_validation():
         plausibility(sic_counts, "sic", dark, m=10, seed=0)
 
 
-def test_bad_reference_point_is_capped_not_overflowed():
-    # a reference far from the optimum makes many ratios exceed 1; the log
-    # cap keeps the moment sums finite and the report well defined
+def test_bad_reference_point_is_capped_not_overflowed(monkeypatch):
+    # a reference far from the optimum makes many ratios to it exceed 1;
+    # the pass's anchor at L_sat keeps the moment sums finite and the
+    # report well defined
     counts = tetra_counts(2000)
     off = ParamVector.from_array([0.2, 0.1, 1.4, 3.0, 1.3])
-    rep = plausibility(counts, "tetra", off, m=2000, seed=2, chunk_size=512)
+    monkeypatch.setattr(plausible, "CHUNK", 512)
+    rep = plausibility(counts, "tetra", off, m=2000, seed=2)
     assert math.isfinite(rep.lambda_pl) and rep.lambda_pl > 0
     assert math.isfinite(rep.se_lambda_pl)
     assert 0 <= rep.credibility_pl <= 1
@@ -304,19 +306,38 @@ def test_far_reference_point_is_not_capped():
                                                    max_evaluations=2000))
     fitted = plausibility(far, "sic", best.params, m=1000, seed=0)
     assert 0.0 < fitted.lambda_pl < 1.0
-    rep = plausibility(far, "sic", TRUTH, m=1000, seed=0, truth=TRUTH)
+    rep = plausibility(far, "sic", TRUTH, m=1000, seed=0)
     gap = log_likelihood(best.params, far, "sic") - log_likelihood(TRUTH, far,
                                                                    "sic")
     assert rep.lambda_pl == pytest.approx(fitted.lambda_pl * math.exp(gap),
                                           rel=1e-12)
     assert (rep.size_pl, rep.credibility_pl) == (fitted.size_pl,
                                                  fitted.credibility_pl)
-    assert rep.truth_plausible is False
+    assert is_plausible(TRUTH, far, TRUTH, rep.lambda_pl, "sic") is False
     near = sample_counts(get_povm("sic").probabilities(ensemble_state(TRUTH)),
                          254, np.random.Generator(np.random.Philox(1)))
     far[7] = 500
     with pytest.raises(ValueError, match="checkpoint 1 overflows"):
         plausibility_sweep([near, far], "sic", [TRUTH, TRUTH], m=1000, seed=0)
+
+
+def test_tiny_threshold_reports_no_error_bars():
+    # all 400 counts in one outcome: lambda'_pl = L/L_sat averaged over the
+    # prior is so small that the squares behind the error bars are
+    # subnormal or 0.  lambda_pl, size and credibility keep the sweep's
+    # arithmetic; both error bars are inf ("no usable error bar"), never 0
+    counts = np.zeros(9)
+    counts[7] = 400
+    rep = plausibility(counts, "sic", TRUTH, m=1000, seed=0)
+    assert (rep.lambda_pl, rep.size_pl, rep.credibility_pl) == \
+        reference_report(counts, "sic", TRUTH, 1000, 0, plausible.CHUNK)
+    # log L_sat = 0 here, so lambda'_pl = lambda_pl L(source)
+    log_lam_prime = math.log(rep.lambda_pl) + log_likelihood(TRUTH, counts,
+                                                             "sic")
+    assert 2 * log_lam_prime < math.log(2.0 ** 53 * np.finfo(float).tiny)
+    assert math.isfinite(rep.lambda_pl)
+    assert rep.se_lambda_pl == rep.se_credibility == math.inf
+    assert 0.0 < rep.se_size < 1.0
 
 
 def test_is_plausible_is_uncapped_and_needs_a_finite_threshold():
@@ -326,9 +347,9 @@ def test_is_plausible_is_uncapped_and_needs_a_finite_threshold():
                                                       max_evaluations=2000))
     gap = (log_likelihood(best.params, counts, "sic")
            - log_likelihood(TRUTH, counts, "sic"))
-    assert gap > LOG_MAX > LOG_CAP
+    assert gap > LOG_MAX
     # L(best)/L(source) overflows a float, so it exceeds every finite
-    # threshold, exp(LOG_CAP) and above included
+    # threshold
     assert is_plausible(best.params, counts, TRUTH, 1e300, "sic") is True
     assert is_plausible(TRUTH, counts, best.params, 1e-300, "sic") is False
     for bad in (math.inf, math.nan):
@@ -338,11 +359,10 @@ def test_is_plausible_is_uncapped_and_needs_a_finite_threshold():
 
 def test_is_plausible_truth_for_its_own_data():
     counts = tetra_counts(600)
-    rep = plausibility(counts, "tetra", TRUTH, m=20000, seed=6, truth=TRUTH)
+    rep = plausibility(counts, "tetra", TRUTH, m=20000, seed=6)
     # lambda(truth) = 1 when truth is the reference point, so any
     # threshold below 1 keeps it inside
     assert rep.lambda_pl < 1
-    assert rep.truth_plausible is True
     assert is_plausible(TRUTH, counts, TRUTH, rep.lambda_pl, "tetra") is True
 
 

@@ -24,11 +24,12 @@ from pairtomo import (Decomposition, DegenerateInputError, EmptyDataError,
                       IllConditionedError, IllConditionedWarning,
                       NonPhysicalMomentsError, OptimizerConfig, ParamVector,
                       PureQubit, SIC, TETRA, ensemble_state, get_povm,
-                      li_pipeline, ml_estimate, ml_estimates, plausible)
+                      is_plausible, li_pipeline, ml_estimate, ml_estimates,
+                      plausible)
 from pairtomo.cli import RESULT_COLUMNS, main, render_table
 from pairtomo.estimate import fold_params, log_likelihood
-from pairtomo.plausible import (LOG_CAP, DegenerateSampleError,
-                                plausibility, plausibility_sweep)
+from pairtomo.plausible import (DegenerateSampleError, plausibility,
+                                plausibility_sweep)
 from pairtomo.qstate import (HALF_PI, TWO_PI, moment_features, prior_features,
                              random_param_array, to_triplet_matrix,
                              wrap_phase)
@@ -36,8 +37,9 @@ from pairtomo.recon import DEGENERACY_TOL, eigh3
 
 from test_estimate import (reference_li_pipeline, reference_ml_estimate,
                            reference_triplet_state)
-from test_plausible import (TRUTH, ml_anchored_report, reference_chunk_stats,
-                            reference_report, tetra_counts)
+from test_plausible import (ML_ANCHOR_LOG_CAP, TRUTH, ml_anchored_report,
+                            reference_chunk_stats, reference_report,
+                            tetra_counts)
 from test_recon import (reference_decompose_moments, reference_null_ket,
                         reference_probabilities_given_states,
                         reference_states_from_xi)
@@ -338,8 +340,9 @@ def test_plausibility_sweep_matches_reference(table, m, chunk_size, seed):
     with np.errstate(invalid="ignore"):
         ref = reference_report(counts, povm.name, TRUTH, m, seed, chunk_size)
     try:
-        rep, = plausibility_sweep([counts], povm, [TRUTH], m, seed,
-                                  chunk_size=chunk_size, workers=1)
+        with mock.patch.object(plausible, "CHUNK", chunk_size):
+            rep, = plausibility_sweep([counts], povm, [TRUTH], m, seed,
+                                      workers=1)
     except DegenerateSampleError:
         assert ref[0] == 0.0
         return
@@ -368,16 +371,18 @@ def test_data_anchor_matches_ml_anchor(table, theta_ml, m, chunk_size, seed):
     observed = counts[counts > 0].astype(float)
     log_sat = float(observed @ np.log(observed / observed.sum()))
     with np.errstate(invalid="ignore"):
-        lam, size, cred, plausible, max_log, truth_log = ml_anchored_report(
+        lam, size, cred, inside, max_log, truth_log = ml_anchored_report(
             counts, povm.name, theta_ml, m, seed, chunk_size, TRUTH)
-    assume(max(max_log, truth_log) < LOG_CAP)
+    assume(max(max_log, truth_log) < ML_ANCHOR_LOG_CAP)
     assume(lam > 0.0 and math.log(lam) - (log_sat - logl_ml) > -600.0)
-    rep, = plausibility_sweep([counts], povm, [theta_ml], m, seed,
-                              truth=TRUTH, chunk_size=chunk_size, workers=1)
+    with mock.patch.object(plausible, "CHUNK", chunk_size):
+        rep, = plausibility_sweep([counts], povm, [theta_ml], m, seed,
+                                  workers=1)
     assert rep.lambda_pl == pytest.approx(lam, rel=1e-12, abs=0.0)
     assert rep.credibility_pl == pytest.approx(cred, rel=0.0, abs=1e-12)
     assert rep.size_pl == size
-    assert rep.truth_plausible == plausible
+    assert is_plausible(TRUTH, counts, theta_ml, rep.lambda_pl,
+                        povm) == inside
 
 
 @settings(max_examples=40)
@@ -422,22 +427,27 @@ def test_sweep_checkpoints_are_independent(batch, m, chunk_size, seed):
     # table, where a stacked counts @ logq product would round with the
     # number of tables
     povm, tables, order = batch
-    kw = dict(chunk_size=chunk_size, truth=TRUTH, workers=1)
+    kw = dict(workers=1)
     thetas_ml = [TRUTH] * len(tables)
     singles = []
-    for counts in tables:
-        try:
-            singles.append(plausibility(counts, povm, TRUTH, m, seed, **kw))
-        except DegenerateSampleError:
-            with pytest.raises(DegenerateSampleError):
-                plausibility_sweep(tables, povm, thetas_ml, m, seed, **kw)
-            return
-    reps = plausibility_sweep(tables, povm, thetas_ml, m, seed, **kw)
-    assert reps == singles
-    assert all(rep.truth_plausible in (True, False) for rep in singles)
-    shuffled = [tables[i] for i in order]
-    assert (plausibility_sweep(shuffled, povm, thetas_ml, m, seed, **kw)
-            == [singles[i] for i in order])
+    with mock.patch.object(plausible, "CHUNK", chunk_size):
+        for counts in tables:
+            try:
+                singles.append(plausibility(counts, povm, TRUTH, m, seed,
+                                            **kw))
+            except DegenerateSampleError:
+                with pytest.raises(DegenerateSampleError):
+                    plausibility_sweep(tables, povm, thetas_ml, m, seed, **kw)
+                return
+        reps = plausibility_sweep(tables, povm, thetas_ml, m, seed, **kw)
+        assert reps == singles
+        # the source is the reference point: lambda(source) = 1
+        assert all(is_plausible(TRUTH, counts, TRUTH, rep.lambda_pl, povm)
+                   == (rep.lambda_pl < 1.0)
+                   for counts, rep in zip(tables, singles))
+        shuffled = [tables[i] for i in order]
+        assert (plausibility_sweep(shuffled, povm, thetas_ml, m, seed, **kw)
+                == [singles[i] for i in order])
 
 
 @st.composite
@@ -445,7 +455,9 @@ def chunk_tasks(draw):
     """A block size and one chunk's kernel arguments: b of one sample,
     under one block, whole blocks or whole blocks plus a tail, and 1-6
     tables of one measurement with N up to 20000, where most ratios
-    underflow, against the source or an arbitrary reference point."""
+    underflow.  Each anchor is the table's log L_sat plus a non-negative
+    offset, as the kernel requires: at or above log L_sat, so that no
+    ratio exceeds 1 beyond rounding."""
     block = draw(st.sampled_from([64, 256, 4096]))
     shape = draw(st.sampled_from(["one", "under", "whole", "tail"]))
     if shape == "one":
@@ -463,12 +475,13 @@ def chunk_tasks(draw):
         cuts = draw(st.lists(st.integers(0, n), min_size=povm.n_outcomes - 1,
                              max_size=povm.n_outcomes - 1))
         tables.append(np.diff([0, *sorted(cuts), n]).astype(float))
-    theta_ml = draw(st.one_of(st.just(TRUTH), params))
-    logl_ml = np.array([log_likelihood(theta_ml, c, povm) for c in tables])
-    assume(np.all(np.isfinite(logl_ml)))
+    log_sat = [n @ np.log(n / n.sum()) for n in (c[c > 0] for c in tables)]
+    offsets = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+                            min_size=len(tables), max_size=len(tables)))
+    anchors = np.add(log_sat, offsets)
     child = np.random.SeedSequence(draw(st.integers(0, 2 ** 32)))
     m = draw(st.integers(b, 4 * b))
-    return block, (child, b, povm.name, np.array(tables), logl_ml, m)
+    return block, (child, b, povm.name, np.array(tables), anchors, m)
 
 
 @settings(max_examples=80)

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from pairtomo import TETRA, ensemble_state, sample_counts, seed_sequence
+from pairtomo import (TETRA, ensemble_state, is_plausible, plausible,
+                      sample_counts, seed_sequence)
 from pairtomo.cli import ExperimentConfig
 from pairtomo.estimate import ml_decomposition, ml_estimate
-from pairtomo.plausible import DEFAULT_CHUNK
 from pairtomo.recon import DegenerateInputError
 from pairtomo.sim import (STREAM_COUNTS, STREAM_OPTIMIZER, STREAM_PRIOR,
                           run_experiment, simulate_run, stream_generator)
@@ -206,7 +206,7 @@ def test_shared_pool_matches_in_process():
     # two runs whose sweeps span two chunks: at 2 workers one pool runs
     # the lockstep ML fit beside both runs' prior passes, at 1 worker all
     # of it runs in-process; the records must not differ in any bit
-    assert -(-150_000 // DEFAULT_CHUNK) == 2
+    assert -(-150_000 // plausible.CHUNK) == 2
     cfg = _config(runs=2, estimators=["li-xi", "ml"],
                   optimizer={"max_evaluations": 1200},
                   n_schedule=[120, 400],
@@ -222,6 +222,34 @@ def test_shared_pool_matches_in_process():
         ml = a.estimates[1]
         assert ml.objective is not None and ml.converged in (True, False)
         assert 0.0 < ml.lambda_pl and ml.truth_plausible in (True, False)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_truth_plausible_is_the_source_test(workers):
+    # each ML record's truth_plausible is is_plausible of the source against
+    # theta_ML refit on that checkpoint's optimizer stream, at the record's
+    # own threshold; the checkpoint outside the subset has none
+    cfg = _config(runs=2, estimators=["li-xi", "ml"],
+                  optimizer={"max_evaluations": 1200},
+                  n_schedule=[60, 200, 500],
+                  plausibility={"enabled": True, "m": 150_000,
+                                "checkpoints": [200, 500]})
+    records = run_experiment(cfg, workers=workers)
+    assert len(records) == 6
+    tested = 0
+    for i, rec in enumerate(records):
+        run, n_index = divmod(i, 3)
+        est = rec.estimates[1]
+        if rec.n_total == 60:
+            assert est.truth_plausible is None
+            continue
+        opt = dataclasses.replace(cfg.optimizer, seed=seed_sequence(
+            42, STREAM_OPTIMIZER, run, n_index))
+        theta_ml = ml_estimate(rec.counts, cfg.povm, opt).params
+        assert est.truth_plausible is is_plausible(
+            cfg.source, rec.counts, theta_ml, est.lambda_pl, cfg.povm)
+        tested += 1
+    assert tested == 4
 
 
 def test_simulate_run_matches_run_experiment():
