@@ -15,7 +15,7 @@ from .qstate import (FEATURE_NAMES, FEATURE_TRIPLETS, ParamVector, PureQubit,
                      random_param_array)
 from .recon import (Decomposition, DegenerateInputError, IllConditionedError,
                     IllConditionedWarning, NonPhysicalMomentsError, TripletKet,
-                    decompose_moments, states_from_xi, xi_from_triplet)
+                    decompose_moments, states_from_xi)
 from .povm import EmptyDataError, SIC, TETRA, get_povm
 from .estimate import (DiagnosticsReport, MlEstimate, OptimizerConfig,
                        li_diagnostics, li_pipeline, log_likelihood,
@@ -33,7 +33,7 @@ __all__ = [
     "random_param_array",
     "Decomposition", "DegenerateInputError", "IllConditionedError",
     "IllConditionedWarning", "NonPhysicalMomentsError", "TripletKet",
-    "decompose_moments", "states_from_xi", "xi_from_triplet",
+    "decompose_moments", "states_from_xi",
     "EmptyDataError", "SIC", "TETRA", "get_povm",
     "DiagnosticsReport", "MlEstimate", "OptimizerConfig", "li_diagnostics",
     "li_pipeline", "log_likelihood", "match_and_score", "ml_estimate",

@@ -52,11 +52,6 @@ ASYMPTOTIC_COLUMNS = ("run", "n", "lambda_scaled", "size_scaled",
 
 DEFAULT_M = 10_000_000
 
-# the config's optimizer section: the seed comes from the master seed
-_OPTIMIZER_FIELDS = tuple(f.name for f in dataclasses.fields(OptimizerConfig)
-                          if f.name != "seed")
-_OPTIMIZER_COUNTS = ("population", "max_evaluations", "restarts")
-
 
 class UsageError(Exception):
     """Bad invocation, config or input file; maps to exit code 2."""
@@ -118,6 +113,17 @@ def _section(data, name, fields):
     if bad:
         raise ValueError(f"unknown {name} fields: {bad}")
     return node
+
+
+def _optimizer(data):
+    """The optimizer section, checked by OptimizerConfig alone; its errors
+    name the field as optimizer.<field>."""
+    node = _section(data, "optimizer",
+                    [f.name for f in dataclasses.fields(OptimizerConfig)])
+    try:
+        return OptimizerConfig(**node)
+    except ValueError as exc:
+        raise ValueError(f"optimizer.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -203,7 +209,6 @@ class ExperimentConfig:
             for key in ("povm", "source", "n_schedule"):
                 if key not in data:
                     raise ValueError(f"missing required field '{key}'")
-            opt = _section(data, "optimizer", _OPTIMIZER_FIELDS)
             pl = _section(data, "plausibility",
                           ("enabled", "m", "checkpoints"))
             out = _section(data, "output", ("path", "format"))
@@ -214,11 +219,7 @@ class ExperimentConfig:
                 runs=data.get("runs", 1),
                 estimators=tuple(str(e) for e in _as_list(
                     data.get("estimators", ["li-xi", "ml"]), "estimators")),
-                optimizer=OptimizerConfig(**{
-                    k: _whole_number(f"optimizer.{k}", v, 1)
-                    if k in _OPTIMIZER_COUNTS
-                    else _as_float(v, f"optimizer.{k}")
-                    for k, v in opt.items()}),
+                optimizer=_optimizer(data),
                 plausibility_enabled=pl.get("enabled", False),
                 plausibility_m=pl.get("m", DEFAULT_M),
                 plausibility_checkpoints=tuple(_as_list(
@@ -239,8 +240,7 @@ class ExperimentConfig:
             "n_schedule": list(self.n_schedule),
             "runs": self.runs,
             "estimators": list(self.estimators),
-            "optimizer": {k: getattr(self.optimizer, k)
-                          for k in _OPTIMIZER_FIELDS},
+            "optimizer": dataclasses.asdict(self.optimizer),
             "plausibility": {"enabled": self.plausibility_enabled,
                              "m": self.plausibility_m,
                              "checkpoints":
@@ -458,10 +458,9 @@ def _load_config(args):
 
 
 def _threads(args):
-    """--threads, default 0: all cores; never negative."""
-    if args.threads is not None and args.threads < 0:
-        raise UsageError(f"--threads must be non-negative, got {args.threads}")
-    return args.threads or os.cpu_count() or 1
+    """--threads, default 0: all cores."""
+    return (_whole_option("--threads", args.threads or 0, 0)
+            or os.cpu_count() or 1)
 
 
 def _whole_option(name, value, low):
@@ -525,15 +524,13 @@ def cmd_estimate(args):
     counts = read_counts(args.counts, povm)
     names = args.estimator or ["li-xi"]
     seed = _whole_option("--seed", args.seed or 0, 0)
-    _threads(args)  # checked only: estimate runs in one process
     # Python ints: an int64 sum wraps for totals beyond 2^63 - 1
     report = {"povm": povm.name, "n_total": sum(int(c) for c in counts),
               "estimates": []}
     for name in names:
         if name == "ml":
-            opt = OptimizerConfig(seed=seed_sequence(seed, STREAM_OPTIMIZER,
-                                                     0, 0))
-            ml = ml_estimate(counts, povm, opt)
+            ml = ml_estimate(counts, povm, seed=seed_sequence(
+                seed, STREAM_OPTIMIZER, 0, 0))
             entry = _decomposition_dict(name, ml_decomposition(ml))
             entry["objective"] = ml.objective
             entry["converged"] = ml.converged
@@ -558,8 +555,8 @@ def cmd_plausible(args):
     seed = _whole_option("--seed", args.seed or 0, 0)
     workers = _threads(args)
     log = _log(args)
-    opt = OptimizerConfig(seed=seed_sequence(seed, STREAM_OPTIMIZER, 0, 0))
-    ml = ml_estimate(counts, povm, opt)
+    ml = ml_estimate(counts, povm,
+                     seed=seed_sequence(seed, STREAM_OPTIMIZER, 0, 0))
     if log:
         log(f"theta_ML = {ml.params.to_array().tolist()}")
     rep = plausibility(counts, povm, ml.params, m,
@@ -676,13 +673,13 @@ def _selftest_checks():
         return bool((p2 > 1.0 / 9.0 - 1e-12).all()
                     and (p2 < 1.0 / 6.0 + 1e-12).all())
 
-    def _round_trip(povm, method):
+    def round_trip(n, decompose):
+        """decompose(truth) recovers n random sources to 1e-9, but for
+        those it routes as degenerate."""
         worst = 0.0
-        for row in random_param_array(rng, 100):
+        for row in random_param_array(rng, n):
             truth = ParamVector.from_array(row)
-            probs = povm.probabilities_from_features(
-                ensemble_state(truth).features())
-            dec = li_pipeline(probs * 1e7, povm, method)
+            dec = decompose(truth)
             if dec.degenerate:
                 continue
             e0, e1, perr = match_and_score(truth, dec)
@@ -690,15 +687,12 @@ def _selftest_checks():
         return worst < 1e-9
 
     def moment_route():
-        worst = 0.0
-        for row in random_param_array(rng, 200):
-            truth = ParamVector.from_array(row)
-            dec = decompose_moments(ensemble_state(truth))
-            if dec.degenerate:
-                continue
-            e0, e1, perr = match_and_score(truth, dec)
-            worst = max(worst, e0 * 1e-6, e1 * 1e-6, perr)
-        return worst < 1e-9
+        return round_trip(
+            200, lambda truth: decompose_moments(ensemble_state(truth)))
+
+    def li_route(povm, method):
+        return round_trip(100, lambda truth: li_pipeline(
+            povm.probabilities(ensemble_state(truth)) * 1e7, povm, method))
 
     def count_determinism():
         probs = np.full(10, 0.1)
@@ -710,9 +704,8 @@ def _selftest_checks():
         truth = ParamVector.from_array([0.6, 1.0, 1.2, 4.0, 0.9])
         probs = tetra.probabilities(ensemble_state(truth))
         counts = sample_counts(probs, 500, 11)
-        opt = OptimizerConfig(seed=seed_sequence(11, STREAM_OPTIMIZER, 0, 0),
-                              max_evaluations=6000)
-        ml = ml_estimate(counts, tetra, opt)
+        ml = ml_estimate(counts, tetra, OptimizerConfig(max_evaluations=6000),
+                         seed_sequence(11, STREAM_OPTIMIZER, 0, 0))
         rep1 = plausibility(counts, tetra, ml.params, 20_000,
                             seed_sequence(11, STREAM_PRIOR, 0))
         rep2 = plausibility(counts, tetra, ml.params, 20_000,
@@ -728,10 +721,10 @@ def _selftest_checks():
         ("singlet-probabilities", singlet_probabilities),
         ("sic-purity-band", purity_band),
         ("moment-route-round-trip", moment_route),
-        ("li-xi-sic", lambda: _round_trip(sic, "xi")),
-        ("li-moments-sic", lambda: _round_trip(sic, "moments")),
-        ("li-xi-tetra", lambda: _round_trip(tetra, "xi")),
-        ("li-moments-tetra", lambda: _round_trip(tetra, "moments")),
+        ("li-xi-sic", lambda: li_route(sic, "xi")),
+        ("li-moments-sic", lambda: li_route(sic, "moments")),
+        ("li-xi-tetra", lambda: li_route(tetra, "xi")),
+        ("li-moments-tetra", lambda: li_route(tetra, "moments")),
         ("count-determinism", count_determinism),
         ("plausibility-replay", plausibility_replay),
     ]
@@ -754,16 +747,19 @@ def cmd_selftest(args):
 # --------------------------------------------------------------------------
 # Entry point
 
-def _add_common(sub, seeded=True):
-    # seeded=False: the command draws nothing, so it takes no seed or threads
+def _add_common(sub, seeded=True, pooled=True):
+    # seeded=False: the command draws nothing, so it takes no seed;
+    # pooled=False: it runs in one process, so it takes no thread count
     sub.add_argument("--out", metavar="DIR",
                      help="output directory (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json"),
                      help="output format")
-    if seeded:
+    if pooled:
         sub.add_argument("--threads", type=int, metavar="K",
                          help="plausibility sweep processes (default or 0: "
-                              "all cores); results do not depend on it")
+                              "all cores), at most the CPU count; results "
+                              "do not depend on it")
+    if seeded:
         sub.add_argument("--seed", type=int, metavar="SEED",
                          help="master seed (overrides the config for simulate)")
     sub.add_argument("--verbose", action="store_true",
@@ -791,7 +787,7 @@ def build_parser():
     p.add_argument("--estimator", action="append",
                    choices=ESTIMATOR_NAMES, metavar="NAME",
                    help="repeatable; default li-xi")
-    _add_common(p)
+    _add_common(p, pooled=False)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("plausible",
@@ -807,7 +803,7 @@ def build_parser():
                        help="large-N rescaled series from a result table")
     p.add_argument("results", metavar="RESULTS_FILE",
                    help="results.csv or results.json from simulate")
-    _add_common(p, seeded=False)
+    _add_common(p, seeded=False, pooled=False)
     p.set_defaults(func=cmd_asymptotics)
 
     p = sub.add_parser("selftest", help="run the analytic invariant suite")

@@ -9,8 +9,8 @@ Two estimator families operate on a vector of detection counts:
   projected out and the triplet part renormalized before recovery.  The
   counts are validated once, at the entry.  From the dual product to the
   recovery step the state stays one 10-entry feature vector: the singlet
-  is removed in feature space, and the null ket is taken without
-  `xi_from_triplet`'s Hermitian check, which holds by construction.
+  is removed in feature space, and the null ket is taken straight from
+  the triplet matrix, which is Hermitian by construction.
 
 * maximum likelihood (`ml_estimate`): minimize -log(L)/N over the
   five-parameter box (theta0, phi0, theta1, phi1, alpha) in
@@ -31,6 +31,7 @@ cancels from every ratio and every location of the optimum.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,8 @@ class OptimizerConfig:
     """Evolution-strategy settings for ml_estimate and ml_estimates.
 
     Checked on construction: the counts are whole numbers (stored as int),
-    sigma0 and tol finite and positive.
+    sigma0 and tol finite and positive (stored as float).  A fit's seed
+    is not a setting: ml_estimate and ml_estimates take it per call.
     """
 
     population: int = 12
@@ -132,7 +134,6 @@ class OptimizerConfig:
     max_evaluations: int = 20000
     tol: float = 1e-10
     restarts: int = 5
-    seed: object = None
 
     def __post_init__(self):
         for name, low in (("population", 4), ("max_evaluations", 1),
@@ -141,10 +142,13 @@ class OptimizerConfig:
                                _whole_number(name, getattr(self, name), low))
         for name in ("sigma0", "tol"):
             value = getattr(self, name)
+            # the chained test is false for nan and for ints beyond float
             if not (isinstance(value, numbers.Real)
-                    and not isinstance(value, bool) and 0 < value < math.inf):
+                    and not isinstance(value, bool)
+                    and 0 < value <= sys.float_info.max):
                 raise ValueError(f"{name} = {value!r} is not finite "
                                  "and positive")
+            object.__setattr__(self, name, float(value))
         if self.max_evaluations < self.population:
             raise ValueError("max_evaluations smaller than one generation")
 
@@ -172,7 +176,8 @@ def ml_estimates(tables, povm, opt=None, seeds=None):
     """Maximum-likelihood estimates of several count tables, fitted together.
 
     Result k is bit for bit the `ml_estimate` of tables[k] alone with
-    seed seeds[k] (default: opt.seed for every table).  Each fit keeps
+    seed seeds[k] (default: None, fresh entropy, for every table).  A seed
+    is an int, a SeedSequence, a Generator or None.  Each fit keeps
     its own generator, restart sequence and convergence test, and owns
     one row of the stacked strategy state (mean, step size, covariance,
     paths, best point of the running restart, generation, trailing window
@@ -197,7 +202,7 @@ def ml_estimates(tables, povm, opt=None, seeds=None):
     if opt is None:
         opt = OptimizerConfig()
     tables = [povm.validate_counts(c) for c in tables]
-    seeds = [opt.seed] * len(tables) if seeds is None else list(seeds)
+    seeds = [None] * len(tables) if seeds is None else list(seeds)
     if len(seeds) != len(tables):
         raise ValueError(f"{len(seeds)} seeds for {len(tables)} tables")
     shared = [id(s) for s in seeds if isinstance(s, np.random.Generator)]
@@ -334,16 +339,16 @@ def ml_estimates(tables, povm, opt=None, seeds=None):
             for x, f, c, e in zip(best_x, best_f, converged, evaluations)]
 
 
-def ml_estimate(counts, povm, opt=None):
+def ml_estimate(counts, povm, opt=None, seed=None):
     """Maximum-likelihood parameter vector from counts.
 
     Runs opt.restarts strategy instances in turn from prior-sampled
     starting points (splitting the evaluation budget evenly) and returns
     the best.  converged is False only if no restart met the objective
     tolerance before exhausting its share of the budget.  This is the
-    one-table case of `ml_estimates`.
+    one-table case of `ml_estimates`, seeded by seed.
     """
-    return ml_estimates([counts], povm, opt)[0]
+    return ml_estimates([counts], povm, opt, [seed])[0]
 
 
 def ml_decomposition(est):

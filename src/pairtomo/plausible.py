@@ -73,6 +73,7 @@ a theta, say a simulation's source, is plausible is `is_plausible`'s.
 """
 
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -207,9 +208,11 @@ class PlausibilityReport:
 
 
 def _chunk_pool(workers, m):
-    """A pool of min(workers, chunks) processes for a sweep of m samples,
-    or a null context (whose target is None) when that is one process."""
-    workers = min(workers or 1, -(-m // CHUNK))
+    """A pool of min(workers, chunks, CPUs) processes for a sweep of m
+    samples, or a null context (whose target is None) when that is one
+    process.  A pool may start all its workers at its first job, so a
+    worker count beyond the machine's would only fork idle processes."""
+    workers = min(workers or 1, -(-m // CHUNK), os.cpu_count() or 1)
     return ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
 
 

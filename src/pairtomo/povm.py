@@ -104,8 +104,8 @@ class LinearPovm:
         """Moments (s, C) from relative frequencies through the dual matrix.
 
         For finite counts the result may be non-positive and, for the
-        tetrahedron scheme, carry a nonzero singlet weight; see
-        SymmetricTwoQubitState.is_physical.
+        tetrahedron scheme, carry a nonzero singlet weight (see
+        SymmetricTwoQubitState.singlet_weight).
         """
         counts = self.validate_counts(counts)
         return SymmetricTwoQubitState.from_features(

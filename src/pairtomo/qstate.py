@@ -79,9 +79,6 @@ TRIPLET_BASIS = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0]], dtype=float
 TRIPLET_BASIS.setflags(write=False)
 
 _POLE_TOL = 1e-15
-# tolerances of SymmetricTwoQubitState.is_physical
-_EIG_TOL = 1e-10
-_TRACE_TOL = 1e-12
 
 
 def _check_angle(name, value, upper):
@@ -185,11 +182,6 @@ class PureQubit:
                                    complex(math.cos(phi), math.sin(phi)) * math.sin(theta))
 
     @property
-    def amplitudes(self):
-        return np.array([math.cos(self.theta),
-                         complex(math.cos(self.phi), math.sin(self.phi)) * math.sin(self.theta)])
-
-    @property
     def bloch(self):
         return bloch_from_angles(self.theta, self.phi)
 
@@ -273,8 +265,7 @@ class SymmetricTwoQubitState:
 
     C is stored exactly symmetric.  For pair-source ensembles trace(C) = 1
     and the singlet weight vanishes; linear-inversion estimates may violate
-    positivity and the unit trace, which is what `is_physical` and
-    `singlet_weight` report.
+    positivity and the unit trace, and `singlet_weight` reports the latter.
     """
 
     s: np.ndarray
@@ -325,21 +316,6 @@ class SymmetricTwoQubitState:
         """Length-10 moment feature vector (see module docstring)."""
         return np.concatenate(([1.0], self.s, self.c[_C_ROWS, _C_COLS]))
 
-    def matrix4(self):
-        """Full 4x4 density-matrix embedding."""
-        return np.tensordot(self.features(), FEATURE_OPERATORS, 1)
-
-    def is_physical(self):
-        """True when this is a valid pair-ensemble state within tolerance.
-
-        Checks both positivity of the 4x4 embedding (eigenvalues >=
-        -_EIG_TOL) and trace(C) = 1 within _TRACE_TOL (zero singlet
-        weight).  Linear inversion on finite counts routinely fails this;
-        the flag is informational, nothing is repaired.
-        """
-        if not abs(float(np.trace(self.c)) - 1.0) <= _TRACE_TOL:
-            return False
-        return bool(np.linalg.eigvalsh(self.matrix4())[0] >= -_EIG_TOL)
 
 
 def ensemble_state(params):

@@ -22,14 +22,14 @@ Two independent routes are provided:
 
       c00 z^2 + 2 c01 z + c11 = 0.
 
-  `xi_from_triplet` extracts the null ket, `states_from_xi` solves the
+  `_null_ket` extracts the null ket, `states_from_xi` solves the
   quadratic (with the numerically stable root pairing), and
   `probabilities_given_states` fits the weights by least squares.
 
 Eigen-decompositions use LAPACK through numpy.linalg.eigh.  `eigh3` adds
-a deterministic phase per eigenvector (canonical_phase), and
-`xi_from_triplet` fixes the phase of the null ket the same way, so it does
-not depend on LAPACK's arbitrary phase; the real dyad of the moment route
+a deterministic phase per eigenvector (canonical_phase), and `_null_ket`
+fixes the phase of the null ket the same way, so it does not depend on
+LAPACK's arbitrary phase; the real dyad of the moment route
 needs only a sign, fixed by taking g = s.e >= 0.  Everything after the
 eigensolver works on Python floats and complex numbers: the vectors have
 three components, where a numpy call costs more than its arithmetic.
@@ -106,10 +106,6 @@ class TripletKet:
         object.__setattr__(self, "c00", complex(self.c00) / norm)
         object.__setattr__(self, "c01", complex(self.c01) / norm)
         object.__setattr__(self, "c11", complex(self.c11) / norm)
-
-    def components(self):
-        """Coordinates in the ordered triplet basis (|00>, |11>, chi)."""
-        return np.array([self.c00, self.c11, _SQRT2 * self.c01])
 
 
 @dataclass(frozen=True)
@@ -212,25 +208,15 @@ def _dot3(u, v):
 # --------------------------------------------------------------------------
 # Null-ket route
 
-def xi_from_triplet(m):
-    """Null ket of a triplet 3x3 matrix: eigenvector of smallest eigenvalue.
+def _null_ket(m):
+    """Null ket of a complex 3x3 triplet matrix, Hermitian by construction:
+    the eigenvector of its smallest eigenvalue.
 
     Returns (TripletKet, eigenvalue).  If the two smallest eigenvalues agree
     within DEGENERACY_TOL the ket is poorly determined and an
-    IllConditionedWarning is issued; the returned vector is still
-    deterministic.  A matrix that is not finite and Hermitian raises
-    ValueError.
+    IllConditionedWarning, pointing at the caller's caller, is issued; the
+    returned vector is still deterministic.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (3, 3) or not (np.isfinite(m).all() and
-                                 np.max(np.abs(m - m.conj().T)) <= 1e-12):
-        raise ValueError("input must be a finite 3x3 Hermitian matrix")
-    return _null_ket(m)
-
-
-def _null_ket(m):
-    """`xi_from_triplet` of a complex 3x3 matrix that is Hermitian by
-    construction.  Warnings point at the caller's caller."""
     w, v = np.linalg.eigh(m)
     w0, w1, _ = w.tolist()
     if w1 - w0 < DEGENERACY_TOL:

@@ -21,7 +21,7 @@ call once all counts are drawn; each fit equals fitting its table alone
 on its own optimizer stream, bit for bit.  The plausibility sweep's
 prior pass needs the counts alone (it is anchored at the saturated
 likelihood, see `plausible`), so it runs beside the fits: a call opens
-at most one process pool, of min(workers, chunks of one sweep)
+at most one process pool, of min(workers, chunks of one sweep, CPUs)
 processes, submits the lockstep fit to it as one job, and streams each
 run's prior pass through the same pool, one run at a time.  Once the
 fits return, each run's sums are moved to the anchor L(theta_ML).  With
@@ -130,7 +130,7 @@ def simulate_run(config, workers=1):
     Counts and linear inversion go run by run, checkpoint by checkpoint;
     the ML fits of every (run, checkpoint) then run in one
     `estimate.ml_estimates` call.  With plausibility on and a pool of
-    min(workers, chunks of one sweep) > 1 processes, that call is the
+    min(workers, chunks of one sweep, CPUs) > 1 processes, that call is the
     pool's first job, and each run's data-only prior pass streams
     through the same pool while it runs; each run's reports are
     anchored at theta_ML once the fits return.  Otherwise everything

@@ -7,6 +7,7 @@ truly independent construction.
 """
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -74,6 +75,13 @@ def oracle_triplet(params):
     return TRIPLET_BASIS_4 @ rho @ TRIPLET_BASIS_4.conj().T
 
 
+def oracle_triplet_coords(xi):
+    """Triplet-basis coordinates of a TripletKet, projected from its
+    4-vector c00|00> + c01(|01> + |10>) + c11|11>."""
+    ket4 = np.array([xi.c00, xi.c01, xi.c01, xi.c11])
+    return TRIPLET_BASIS_4.conj() @ ket4
+
+
 def oracle_sic_elements4():
     """The nine rank-1 elements lifted to 4x4, built from the ket table."""
     w = np.exp(2j * math.pi / 3)
@@ -108,6 +116,13 @@ def oracle_probs(params, povm_name):
     elements = (oracle_sic_elements4() if povm_name == "sic"
                 else oracle_tetra_elements4())
     return np.array([np.trace(e @ rho).real for e in elements])
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every process pool a test opens is shut down by its end."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -387,19 +387,23 @@ def test_cli_determinism(tmp_path, capsys):
         np.random.Philox(np.random.SeedSequence(3))))
     counts_path = tmp_path / "counts.csv"
     counts_path.write_text(render_counts(counts, tetra), newline="")
-    for cmd in (["estimate", str(counts_path), "--povm", "tetra",
-                 "--estimator", "ml", "--seed", "9"],
-                ["plausible", str(counts_path), "--povm", "tetra",
-                 "--m", "30000", "--seed", "11"]):
+    # estimate runs in one process and takes no --threads: it is rerun
+    for cmd, runs in (
+            (["estimate", str(counts_path), "--povm", "tetra",
+              "--estimator", "ml", "--seed", "9"], ([], [])),
+            (["plausible", str(counts_path), "--povm", "tetra",
+              "--m", "30000", "--seed", "11"],
+             (["--threads", "1"], ["--threads", "2"]))):
         rendered = []
-        for threads in ("1", "2"):
-            rc = main(cmd + ["--threads", threads])
+        for flags in runs:
+            rc = main(cmd + flags)
             out = capsys.readouterr().out
             if rc != 0:
-                failures.append(f"{cmd[0]} exited {rc} with {threads} threads")
+                failures.append(f"{cmd[0]} exited {rc} with flags {flags}")
             rendered.append(out)
         if rendered[0] != rendered[1]:
-            failures.append(f"{cmd[0]} output differs across thread counts")
+            failures.append(f"{cmd[0]} output differs across reruns "
+                            "or thread counts")
     _verdict("determinism", failures,
              "simulate, estimate and plausible byte-identical across "
              "reruns and thread counts")

@@ -267,6 +267,23 @@ def test_simulate_writes_results_and_manifest(tmp_path):
     assert parsed == expected
 
 
+def test_manifest_stores_optimizer_floats_as_floats(tmp_path):
+    # "sigma0": 1 and "tol": 1 are read as 1.0: the manifest is the one a
+    # config with 1.0 writes, byte for byte
+    manifests = []
+    for i, value in enumerate((1, 1.0)):
+        out = tmp_path / f"out{i}"
+        cfg = base_config(optimizer={"sigma0": value, "tol": value},
+                          output={"path": str(out)})
+        assert main(["simulate", "--config",
+                     write_config(tmp_path, cfg, f"c{i}.json")]) == 0
+        manifests.append((out / "manifest.json").read_text())
+    assert manifests[0] == manifests[1]
+    assert ('"optimizer": {\n      "max_evaluations": 20000,\n'
+            '      "population": 12,\n      "restarts": 5,\n'
+            '      "sigma0": 1.0,\n      "tol": 1.0\n    }') in manifests[0]
+
+
 def test_simulate_deterministic_across_threads(tmp_path):
     outs = []
     for i, threads in enumerate(("1", "2", "1")):
@@ -431,8 +448,11 @@ def test_estimate_bad_inputs_exit_2(tmp_path):
     assert main(["estimate", tet, "--povm", "sic"]) == 2
     assert main(["estimate", tet, "--povm", "tetra", "--estimator", "ml",
                  "--seed", "-1"]) == 2
-    assert main(["estimate", tet, "--povm", "tetra", "--threads", "-3"]) == 2
     assert main(["estimate", tet, "--povm", "tetra", "--out", ""]) == 2
+    # estimate runs in one process, so it takes no thread count
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", tet, "--povm", "tetra", "--threads", "1"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.filterwarnings("ignore::pairtomo.IllConditionedWarning")
@@ -677,6 +697,28 @@ def test_readme_quick_start_runs():
     start = text.index("```python\n") + len("```python\n")
     code = text[start:text.index("```", start)]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_public_api_is_the_pipeline():
+    # what the command line, sim and the paper-claim tests use, no more
+    assert pairtomo.__all__ == [
+        "__version__",
+        "FEATURE_NAMES", "FEATURE_TRIPLETS", "ParamVector", "PureQubit",
+        "SymmetricTwoQubitState", "ensemble_state", "moment_features",
+        "random_param_array",
+        "Decomposition", "DegenerateInputError", "IllConditionedError",
+        "IllConditionedWarning", "NonPhysicalMomentsError", "TripletKet",
+        "decompose_moments", "states_from_xi",
+        "EmptyDataError", "SIC", "TETRA", "get_povm",
+        "DiagnosticsReport", "MlEstimate", "OptimizerConfig", "li_diagnostics",
+        "li_pipeline", "log_likelihood", "match_and_score", "ml_estimate",
+        "ml_estimates",
+        "AsymptoticsReport", "DegenerateSampleError", "PlausibilityReport",
+        "asymptotics", "is_plausible", "plausibility", "plausibility_sweep",
+        "EstimateResult", "RunRecord", "run_experiment", "sample_counts",
+        "seed_sequence", "simulate_run", "stream_generator",
+    ]
+    assert all(hasattr(pairtomo, name) for name in pairtomo.__all__)
 
 
 # --------------------------------------------------------------------------

@@ -197,6 +197,34 @@ def test_worker_count_invariance(monkeypatch):
     assert a == b
 
 
+def test_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # --threads 5000 at m = 1e9 (10 000 chunks) would fork 5000 workers at
+    # the first job.  The executor here is a recorder, so no process starts
+    opened = []
+
+    class Recorder:
+        def __init__(self, workers):
+            opened.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(plausible, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(plausible.os, "cpu_count", lambda: 2)
+    with plausible._chunk_pool(5000, 10 ** 9) as pool:
+        assert isinstance(pool, Recorder)
+    assert opened == [2]
+    # one CPU, or an unknown count, means one process: no pool
+    for cpus in (1, None):
+        monkeypatch.setattr(plausible.os, "cpu_count", lambda: cpus)
+        with plausible._chunk_pool(5000, 10 ** 9) as pool:
+            assert pool is None
+    assert opened == [2]
+
+
 def test_candidate_budget_overflow_replays_chunks(monkeypatch):
     # a tiny budget forces pruning and replays on the shared pool; the
     # reports must not change
@@ -302,8 +330,7 @@ def test_far_reference_point_is_not_capped():
     # the checkpoint
     far = np.zeros(9)
     far[7] = 254
-    best = ml_estimate(far, "sic", OptimizerConfig(seed=1,
-                                                   max_evaluations=2000))
+    best = ml_estimate(far, "sic", OptimizerConfig(max_evaluations=2000), 1)
     fitted = plausibility(far, "sic", best.params, m=1000, seed=0)
     assert 0.0 < fitted.lambda_pl < 1.0
     rep = plausibility(far, "sic", TRUTH, m=1000, seed=0)
@@ -343,8 +370,8 @@ def test_tiny_threshold_reports_no_error_bars():
 def test_is_plausible_is_uncapped_and_needs_a_finite_threshold():
     counts = np.zeros(9)
     counts[7] = 1000
-    best = ml_estimate(counts, "sic", OptimizerConfig(seed=1,
-                                                      max_evaluations=2000))
+    best = ml_estimate(counts, "sic", OptimizerConfig(max_evaluations=2000),
+                       1)
     gap = (log_likelihood(best.params, counts, "sic")
            - log_likelihood(TRUTH, counts, "sic"))
     assert gap > LOG_MAX

@@ -187,10 +187,10 @@ def test_counts_whose_total_overflows_are_refused():
     # overflow warning, by every estimator that takes counts
     counts = [1e308] * 9
     theta = ParamVector.from_array([0.3, 1.0, 1.2, 2.0, 0.5])
-    opt = OptimizerConfig(max_evaluations=240, restarts=1, seed=0)
+    opt = OptimizerConfig(max_evaluations=240, restarts=1)
     calls = (lambda: li_pipeline(counts, "sic"),
              lambda: SIC.linear_inversion(counts),
-             lambda: ml_estimate(counts, "sic", opt),
+             lambda: ml_estimate(counts, "sic", opt, 0),
              lambda: log_likelihood(theta, counts, "sic"),
              lambda: plausibility(counts, "sic", theta, 100, 0))
     for call in calls:

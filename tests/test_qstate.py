@@ -7,8 +7,8 @@ import pytest
 from pairtomo import (FEATURE_NAMES, ParamVector, PureQubit,
                       SymmetricTwoQubitState, ensemble_state, moment_features,
                       random_param_array)
-from pairtomo.qstate import (FEATURE_TRIPLETS, HALF_PI, TWO_PI,
-                             _isotropic_bloch, bloch_from_angles,
+from pairtomo.qstate import (FEATURE_OPERATORS, FEATURE_TRIPLETS, HALF_PI,
+                             TWO_PI, _isotropic_bloch, bloch_from_angles,
                              canonical_phase, from_triplet_matrix,
                              pair_ket_triplet, prior_features,
                              to_triplet_matrix)
@@ -23,8 +23,6 @@ def test_pure_qubit_angles_and_bloch(rng):
         phi = rng.uniform(0, TWO_PI)
         s = PureQubit(theta, phi)
         np.testing.assert_allclose(s.bloch, oracle_bloch(theta, phi),
-                                   atol=1e-14)
-        np.testing.assert_allclose(s.amplitudes, oracle_ket(theta, phi),
                                    atol=1e-14)
         assert abs(np.linalg.norm(s.bloch) - 1) < 1e-14
 
@@ -83,7 +81,8 @@ def test_overlap_matches_amplitudes(rng):
     for _ in range(30):
         x = PureQubit(rng.uniform(0, HALF_PI), rng.uniform(0, TWO_PI))
         y = PureQubit(rng.uniform(0, HALF_PI), rng.uniform(0, TWO_PI))
-        direct = abs(np.vdot(x.amplitudes, y.amplitudes)) ** 2
+        direct = abs(np.vdot(oracle_ket(x.theta, x.phi),
+                             oracle_ket(y.theta, y.phi))) ** 2
         assert abs(x.overlap(y) - direct) < 1e-13
     z = PureQubit(0.7, 1.1)
     assert abs(z.overlap(z) - 1) < 1e-15
@@ -117,11 +116,12 @@ def test_ensemble_state_matches_oracle(param_draws):
     for row in param_draws[:40]:
         params = ParamVector.from_array(row)
         state = ensemble_state(params)
-        np.testing.assert_allclose(state.matrix4(), oracle_rho4(row),
-                                   atol=1e-13)
+        # rho = sum_i f_i O_i, the 4x4 embedding of the moment features
+        rho4 = np.tensordot(state.features(), FEATURE_OPERATORS, 1)
+        np.testing.assert_allclose(rho4, oracle_rho4(row), atol=1e-13)
         assert abs(np.trace(state.c) - 1) < 1e-13
         assert abs(state.singlet_weight) < 1e-13
-        assert state.is_physical()
+        assert np.linalg.eigvalsh(rho4)[0] >= -1e-10
 
 
 def test_symmetric_state_validation():
@@ -175,7 +175,8 @@ def test_feature_triplets_exact_entries():
 
 def test_pair_ket_triplet_matches_basis_projection():
     s = PureQubit(0.7, 2.1)
-    k4 = np.kron(s.amplitudes, s.amplitudes)
+    ket = oracle_ket(s.theta, s.phi)
+    k4 = np.kron(ket, ket)
     expect = TRIPLET_BASIS_4.conj() @ k4
     np.testing.assert_allclose(pair_ket_triplet(s), expect, atol=1e-14)
     # product pairs never touch the singlet component

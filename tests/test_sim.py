@@ -155,9 +155,8 @@ def test_ml_fits_use_the_run_and_checkpoint_stream():
     for i, rec in enumerate(records):
         run, n_index = divmod(i, 3)
         assert rec.run_index == run
-        opt = dataclasses.replace(cfg.optimizer, seed=seed_sequence(
+        ml = ml_estimate(rec.counts, cfg.povm, cfg.optimizer, seed_sequence(
             42, STREAM_OPTIMIZER, run, n_index))
-        ml = ml_estimate(rec.counts, cfg.povm, opt)
         est = rec.estimates[1]
         assert est.estimator == "ml"
         assert est.decomposition == ml_decomposition(ml)
@@ -243,9 +242,9 @@ def test_truth_plausible_is_the_source_test(workers):
         if rec.n_total == 60:
             assert est.truth_plausible is None
             continue
-        opt = dataclasses.replace(cfg.optimizer, seed=seed_sequence(
-            42, STREAM_OPTIMIZER, run, n_index))
-        theta_ml = ml_estimate(rec.counts, cfg.povm, opt).params
+        theta_ml = ml_estimate(rec.counts, cfg.povm, cfg.optimizer,
+                               seed_sequence(42, STREAM_OPTIMIZER, run,
+                                             n_index)).params
         assert est.truth_plausible is is_plausible(
             cfg.source, rec.counts, theta_ml, est.lambda_pl, cfg.povm)
         tested += 1
